@@ -73,11 +73,15 @@ void run(Ctx& ctx) {
 
           const std::string wal = wal_base + std::to_string(wal_seq++);
           std::remove(wal.c_str());
+          const auto failed = [&](const std::string& why) {
+            std::remove(wal.c_str());
+            return ctx.fail(why);
+          };
           persist::Journal::Options jopt;
           jopt.fsync_each = true;
           std::string err;
           auto journal = persist::Journal::open(wal, jopt, &err);
-          if (!journal) std::abort();
+          if (!journal) return failed("cannot open the journal: " + err);
 
           // Counter capture at the settle barrier (settle-stage thread);
           // read back only after stop() joins the stages.
@@ -105,9 +109,9 @@ void run(Ctx& ctx) {
             for (size_t i = 0; i < batches; ++i) {
               const Batch b = stream.next(batch_size);
               s.updates += b.deletions.size() + b.insertions.size();
-              if (!eng.submit(b)) std::abort();
+              if (!eng.submit(b)) return failed("submit: " + eng.error());
             }
-            if (!eng.stop()) std::abort();
+            if (!eng.stop()) return failed("stop: " + eng.error());
             s.seconds = t.seconds();
             for (const engine::LatencySample& l : eng.latency_samples()) {
               durable_us.add(l.durable_us);
@@ -149,5 +153,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("engine_latency")

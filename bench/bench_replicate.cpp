@@ -79,6 +79,10 @@ void run(Ctx& ctx) {
 
           const std::string wal = base + ".wal" + std::to_string(seq++);
           std::remove(wal.c_str());
+          const auto failed = [&](const std::string& why) {
+            std::remove(wal.c_str());
+            return ctx.fail(why);
+          };
 
           // durable_at[e] / applied_at[e]: when epoch e became durable on
           // the primary / applied on the follower (1-indexed by epoch).
@@ -87,6 +91,8 @@ void run(Ctx& ctx) {
           // mo: release/acquire on the watermark index — the follower
           // reads durable_at[e] only for e <= durable_mark.
           std::atomic<uint64_t> durable_mark{0};
+          // Set when the primary fails, so the follower stops waiting.
+          std::atomic<bool> abandon{false};
 
           std::string ferr;
           uint64_t follower_polls = 0;
@@ -105,7 +111,9 @@ void run(Ctx& ctx) {
             util::Backoff poll(bo);
             uint64_t applied = 0;
             const auto deadline = Clock::now() + std::chrono::seconds(60);
-            while (applied < batches) {
+            // mo: relaxed — a stop flag; the join below orders the rest.
+            while (applied < batches &&
+                   !abandon.load(std::memory_order_relaxed)) {
               const replicate::TailStatus s = rep.step();
               if (s == replicate::TailStatus::kFailed) {
                 ferr = rep.error();
@@ -144,7 +152,8 @@ void run(Ctx& ctx) {
           persist::Journal::Options jopt;
           std::string err;
           auto journal = persist::Journal::open(wal, jopt, &err);
-          if (!journal) std::abort();
+          std::string perr =
+              journal ? "" : "cannot open the primary journal: " + err;
           engine::UpdateEngine::Options eopt;
           eopt.pipelined = true;
           eopt.group_commit = static_cast<size_t>(pt.group_commit);
@@ -167,23 +176,24 @@ void run(Ctx& ctx) {
           po.jitter = 0.0;
           util::Backoff pace(po);
           Timer t;
-          {
+          if (journal) {
             engine::UpdateEngine eng(m, nullptr, journal.get(), eopt);
-            for (uint64_t i = 0; i < batches; ++i) {
+            for (uint64_t i = 0; i < batches && perr.empty(); ++i) {
               const Batch b = stream.next(batch_size);
               updates += b.deletions.size() + b.insertions.size();
-              if (!eng.submit(b)) std::abort();
+              if (!eng.submit(b)) perr = "primary submit: " + eng.error();
               if (pt.pace_us) pace.sleep();
             }
-            if (!eng.stop()) std::abort();
+            if (!eng.stop() && perr.empty()) {
+              perr = "primary stop: " + eng.error();
+            }
           }
           s.seconds = t.seconds();
+          // mo: relaxed — see the follower's loop condition.
+          if (!perr.empty()) abandon.store(true, std::memory_order_relaxed);
           follower.join();
-          if (!ferr.empty()) {
-            std::fprintf(stderr, "bench_replicate: follower failed: %s\n",
-                         ferr.c_str());
-            std::abort();
-          }
+          if (!perr.empty()) return failed(perr);
+          if (!ferr.empty()) return failed("follower failed: " + ferr);
 
           PercentileStats lag_us;
           for (uint64_t e = 1; e <= batches; ++e) {
@@ -204,11 +214,19 @@ void run(Ctx& ctx) {
             ropt.verify_checkpoints = false;
             replicate::ReplicaEngine rep(cm, nullptr, ropt);
             std::string cerr_;
-            if (!rep.bootstrap(&cerr_)) std::abort();
+            if (!rep.bootstrap(&cerr_)) {
+              return failed("catch-up bootstrap: " + cerr_);
+            }
             Timer ct;
-            if (rep.step() == replicate::TailStatus::kFailed) std::abort();
+            if (rep.step() == replicate::TailStatus::kFailed) {
+              return failed("catch-up replay: " + rep.error());
+            }
             catch_up_s = ct.seconds();
-            if (rep.applied_epoch() != batches) std::abort();
+            if (rep.applied_epoch() != batches) {
+              return failed("catch-up stopped at epoch " +
+                            std::to_string(rep.applied_epoch()) + " of " +
+                            std::to_string(batches));
+            }
           }
 
           s.updates = updates;
@@ -250,5 +268,3 @@ void run(Ctx& ctx) {
 
 }  // namespace
 }  // namespace pdmm::bench
-
-PDMM_BENCH_MAIN("replicate")

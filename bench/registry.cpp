@@ -9,6 +9,7 @@
 #include <regex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "util/assert.h"
 #include "util/parse_num.h"
@@ -135,6 +136,7 @@ void write_json_report(
       j.begin_object();
       for (const auto& [k, v] : sp.sample.metrics) j.field(k, v);
       j.end_object();
+      if (!sp.error.empty()) j.field("error", sp.error);
       j.end_object();
     }
   }
@@ -156,7 +158,7 @@ struct Cli {
 // The global flags are fixed; any other --key=value becomes a per-benchmark
 // parameter override, validated after the run (each harness reports which
 // overrides it consumed).
-Cli parse_cli(int argc, char** argv, bool allow_match) {
+Cli parse_cli(int argc, char** argv) {
   Cli cli;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -214,13 +216,6 @@ Cli parse_cli(int argc, char** argv, bool allow_match) {
     } else if (key == "list") {
       cli.list = value != "0" && value != "false";
     } else if (key == "match") {
-      if (!allow_match) {
-        std::fprintf(stderr,
-                     "--match is only available on pdmm_bench (this binary "
-                     "holds a single benchmark)\n");
-        cli.bad = true;
-        return cli;
-      }
       cli.match = value;
     } else if (key == "help") {
       cli.bad = true;
@@ -231,12 +226,13 @@ Cli parse_cli(int argc, char** argv, bool allow_match) {
   return cli;
 }
 
-void usage(const char* prog, bool allow_match) {
+void usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s [--reps=N] [--warmup=X] [--threads=T] [--seed=S]\n"
       "          [--smoke] [--json=PATH] [--compare=BASELINE.json]\n"
-      "          [--compare-tolerance=X] [--list]%s [--<param>=<value> ...]\n"
+      "          [--compare-tolerance=X] [--list] [--match=REGEX]\n"
+      "          [--<param>=<value> ...]\n"
       "  --reps     repetitions per sweep point (default 3)\n"
       "  --warmup   scale factor on warm phases (default 1.0)\n"
       "  --threads  override every harness's thread count (default: keep)\n"
@@ -247,8 +243,10 @@ void usage(const char* prog, bool allow_match) {
       "             prints per-bench wall-clock ratio summaries and exits 3\n"
       "             when any bench's geomean regresses past the tolerance\n"
       "  --compare-tolerance  allowed median-seconds regression (default 0.15)\n"
-      "  other --key=value flags override per-benchmark sweep parameters\n",
-      prog, allow_match ? " [--match=REGEX]" : "");
+      "  --match    run only benchmarks whose name matches REGEX\n"
+      "  other --key=value flags override per-benchmark sweep parameters\n"
+      "exit: 0 ok, 1 a point failed or I/O error, 2 usage, 3 regression\n",
+      prog);
 }
 
 // ---- --compare: the perf ratchet ----
@@ -401,12 +399,16 @@ int compare_runs(
 int run_benchmarks(const Cli& cli, const std::vector<const Benchmark*>& subset) {
   std::vector<std::pair<const Benchmark*, std::vector<SweepPoint>>> runs;
   std::map<std::string, bool> consumed_by_any;
+  size_t failed_points = 0;
   for (const Benchmark* b : subset) {
     std::printf("=== %s (%s) ===\n# claim: %s\n", b->name, b->experiment,
                 b->claim);
     Ctx ctx(*b, cli.opt);
     b->fn(ctx);
     for (const auto& k : ctx.consumed_overrides()) consumed_by_any[k] = true;
+    for (const SweepPoint& sp : ctx.points()) {
+      if (!sp.error.empty()) ++failed_points;
+    }
     runs.emplace_back(b, ctx.points());
     std::printf("\n");
     std::fflush(stdout);
@@ -438,15 +440,23 @@ int run_benchmarks(const Cli& cli, const std::vector<const Benchmark*>& subset) 
     std::printf("# wrote %zu sweep points to %s\n", total,
                 cli.json_path.c_str());
   }
+  int rc = dangling ? 2 : 0;
   if (!cli.compare_path.empty()) {
     const int regressions =
         compare_runs(runs, cli.compare_path, cli.compare_tolerance);
     // A baseline that cannot be loaded is an I/O/usage failure (exit 1),
     // distinct from a genuine perf regression (exit 3).
     if (regressions < 0) return 1;
-    if (regressions > 0) return 3;
+    if (regressions > 0) rc = 3;
   }
-  return dangling ? 2 : 0;
+  if (failed_points > 0) {
+    std::fprintf(stderr,
+                 "error: %zu sweep point%s failed (see \"error\" in the "
+                 "report)\n",
+                 failed_points, failed_points == 1 ? "" : "s");
+    return 1;
+  }
+  return rc;
 }
 
 }  // namespace
@@ -515,6 +525,10 @@ SweepPoint Ctx::point(Params params, const std::function<Sample()>& body) {
   bool deterministic = true;
   for (size_t rep = 0; rep < opt_.reps; ++rep) {
     Sample s = body();
+    if (!failure_.empty()) {
+      sp.error = std::exchange(failure_, {});
+      return finish_point(std::move(sp));
+    }
     secs.push_back(s.seconds);
     if (rep > 0 &&
         (s.work != sp.sample.work || s.rounds != sp.sample.rounds ||
@@ -565,6 +579,7 @@ SweepPoint Ctx::finish_point(SweepPoint sp) {
     std::snprintf(buf, sizeof buf, " | %.3g upd/s", sp.updates_per_sec);
     line += buf;
   }
+  if (!sp.error.empty()) line += " | FAILED: " + sp.error;
   for (const auto& [k, v] : sp.sample.metrics) {
     std::snprintf(buf, sizeof buf, " %s=%.4g", k.c_str(), v);
     line += buf;
@@ -579,6 +594,12 @@ void Ctx::note(const std::string& text) {
   std::printf("  # %s\n", text.c_str());
 }
 
+Sample Ctx::fail(const std::string& why) {
+  std::fprintf(stderr, "error: %s: %s\n", bench_.name, why.c_str());
+  if (failure_.empty()) failure_ = why;
+  return {};
+}
+
 std::vector<std::string> Ctx::consumed_overrides() const {
   std::vector<std::string> out;
   for (const auto& [k, v] : consumed_) {
@@ -590,9 +611,9 @@ std::vector<std::string> Ctx::consumed_overrides() const {
 // ---- drivers ----
 
 int bench_main(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, /*allow_match=*/true);
+  const Cli cli = parse_cli(argc, argv);
   if (cli.bad) {
-    usage(argv[0], true);
+    usage(argv[0]);
     return 2;
   }
   const auto& benches = all_benchmarks();
@@ -619,25 +640,6 @@ int bench_main(int argc, char** argv) {
     return 2;
   }
   return run_benchmarks(cli, subset);
-}
-
-int standalone_main(const char* name, int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, /*allow_match=*/false);
-  if (cli.bad) {
-    usage(argv[0], false);
-    return 2;
-  }
-  for (const Benchmark& b : all_benchmarks()) {
-    if (std::string_view(b.name) == name) {
-      if (cli.list) {
-        std::printf("%-24s %-6s %s\n", b.name, b.experiment, b.claim);
-        return 0;
-      }
-      return run_benchmarks(cli, {&b});
-    }
-  }
-  std::fprintf(stderr, "benchmark %s is not linked into this binary\n", name);
-  return 2;
 }
 
 }  // namespace pdmm::bench

@@ -1,16 +1,10 @@
 // Benchmark registry and orchestration — the pdmm_bench subsystem.
 //
 // Every experiment harness in bench/ registers itself here (registry name,
-// experiment id, the paper claim it probes, entry point). Two drivers share
-// the registry:
-//
-//  * tools/pdmm_bench links every bench_*.cpp translation unit and runs any
-//    subset by name/regex with shared --reps / --warmup / --threads /
-//    --seed / --smoke / --json handling (bench_main).
-//  * each bench_*.cpp also builds standalone (compiled with
-//    -DPDMM_BENCH_STANDALONE, which makes PDMM_BENCH_MAIN expand to a thin
-//    main forwarding to standalone_main), so `build/bench/bench_throughput`
-//    keeps working and accepts the same flags.
+// experiment id, the paper claim it probes, entry point). tools/pdmm_bench
+// links every bench_*.cpp translation unit and runs any subset by
+// name/regex (--match) with shared --reps / --warmup / --threads / --seed
+// / --smoke / --json handling (bench_main).
 //
 // Results are structured SweepPoints, not printf rows: one point per sweep
 // configuration, carrying machine-independent counters (element work,
@@ -67,6 +61,7 @@ struct SweepPoint {
   double seconds_min = 0.0;
   double seconds_max = 0.0;
   double updates_per_sec = 0.0;  // updates / seconds_median (0 if untimed)
+  std::string error;  // non-empty: the point failed (Ctx::fail)
 };
 
 class Ctx;
@@ -142,6 +137,13 @@ class Ctx {
   // notes do not enter the JSON report.
   void note(const std::string& text);
 
+  // Fails the point whose body is running: prints `why`, stops its
+  // repetitions, records the error in the JSON report and makes the run
+  // exit nonzero — other points and benchmarks still run. Returns an
+  // empty Sample so a body can `return ctx.fail(...)`. Call only from the
+  // thread running a point() body.
+  Sample fail(const std::string& why);
+
   const std::vector<SweepPoint>& points() const { return points_; }
   std::vector<std::string> consumed_overrides() const;
 
@@ -152,6 +154,7 @@ class Ctx {
   const RunOptions& opt_;
   std::map<std::string, bool> consumed_;
   std::vector<SweepPoint> points_;
+  std::string failure_;  // set by fail() inside the running point body
 };
 
 // Registration. Benchmarks register via a namespace-scope Registrar in
@@ -166,23 +169,7 @@ struct Registrar {
   }
 };
 
-// Drivers. bench_main implements the pdmm_bench CLI over every registered
-// benchmark; standalone_main runs exactly one (the single benchmark linked
-// into a standalone harness binary) with the same flags minus --list/--match.
+// The pdmm_bench CLI over every registered benchmark.
 int bench_main(int argc, char** argv);
-int standalone_main(const char* name, int argc, char** argv);
 
 }  // namespace pdmm::bench
-
-// Thin standalone entry point, emitted only when the TU is compiled as a
-// standalone harness (bench/CMakeLists.txt sets PDMM_BENCH_STANDALONE for
-// the bench_* executables; the combined pdmm_bench build leaves it unset so
-// linking every harness together yields exactly one main).
-#ifdef PDMM_BENCH_STANDALONE
-#define PDMM_BENCH_MAIN(name)                         \
-  int main(int argc, char** argv) {                   \
-    return ::pdmm::bench::standalone_main(name, argc, argv); \
-  }
-#else
-#define PDMM_BENCH_MAIN(name)
-#endif

@@ -56,4 +56,19 @@ struct Config {
   bool check_invariants = false;
 };
 
+// True when `a` and `b` replay the same update stream to the same state:
+// they agree on every field that steers a batch. This is the one list of
+// lineage fields; recovery, follower bootstrap and the snapshot loader
+// all compare through it. initial_capacity (the snapshot carries N
+// itself), collect_epoch_stats and check_invariants are observation or
+// sizing knobs and do not fork a replay.
+inline bool same_lineage(const Config& a, const Config& b) {
+  return a.max_rank == b.max_rank && a.seed == b.seed &&
+         a.settle_after_insertions == b.settle_after_insertions &&
+         a.subsettle_iter_factor == b.subsettle_iter_factor &&
+         a.max_settle_repeats == b.max_settle_repeats &&
+         a.max_eager_sweeps == b.max_eager_sweeps &&
+         a.auto_rebuild == b.auto_rebuild;
+}
+
 }  // namespace pdmm

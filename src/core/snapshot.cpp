@@ -339,10 +339,12 @@ SnapshotError DynamicMatcher::load_validated(std::istream& in) {
     }
     // The remaining cfg fields steer future batches; a mismatch does not
     // corrupt the restored state but would fork the continuation.
-    if (eager != (cfg_.settle_after_insertions ? 1u : 0u) ||
-        iter_factor != cfg_.subsettle_iter_factor ||
-        repeats != cfg_.max_settle_repeats ||
-        sweeps != cfg_.max_eager_sweeps) {
+    Config snap_cfg = cfg_;
+    snap_cfg.settle_after_insertions = eager != 0;
+    snap_cfg.subsettle_iter_factor = static_cast<uint32_t>(iter_factor);
+    snap_cfg.max_settle_repeats = static_cast<uint32_t>(repeats);
+    snap_cfg.max_eager_sweeps = static_cast<uint32_t>(sweeps);
+    if (!same_lineage(snap_cfg, cfg_)) {
       cur.fail("snapshot settle parameters differ from this matcher's "
                "Config; continuation would diverge");
       return failed();

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "persist/checkpoint.h"
+#include "persist/recovery.h"
 #include "util/sync_point.h"
 
 namespace pdmm::engine {
@@ -103,11 +104,10 @@ bool UpdateEngine::do_settle(const Item& it, PublishWork& w) {
   if (!fire_point(kEnginePreSettle, it.epoch)) return false;
   // update() asserts the matcher's updater role internally; the settle
   // stage is the single updater by the constructor's handoff contract.
-  m_.update_by_endpoints(it.batch.deletions, it.batch.insertions);
-  if (m_.batch_epoch() != it.epoch) {
-    fail("settle", "matcher epoch " + std::to_string(m_.batch_epoch()) +
-                       " disagrees with pipeline epoch " +
-                       std::to_string(it.epoch));
+  // A batch that cannot apply halts the engine with error() set.
+  std::string err;
+  if (!persist::apply_journal_record(m_, it.epoch, it.batch, &err)) {
+    fail("settle", std::move(err));
     return false;
   }
   if (!fire_point(kEnginePostSettle, it.epoch)) return false;
@@ -126,7 +126,6 @@ bool UpdateEngine::do_settle(const Item& it, PublishWork& w) {
   }
   if (w.do_checkpoint) {
     if (!fire_point(kEnginePreCheckpoint, it.epoch)) return false;
-    std::string err;
     if (!persist::encode_checkpoint(m_, w.ck_bytes, &err, opt_.stream_fp)) {
       fail("checkpoint encode", std::move(err));
       return false;

@@ -10,8 +10,9 @@
 //                       batches (or when the queue idles / the timer
 //                       expires), advancing the durable-epoch watermark
 //     ▼
-//   [S] settle stage    m.update_by_endpoints() — the full parallel
-//       (updater role)  settle pipeline — then, at the epoch barrier,
+//   [S] settle stage    persist::apply_journal_record() — the full
+//       (updater role)  parallel settle pipeline, refusing a batch that
+//                       cannot apply — then, at the epoch barrier,
 //                       capture: make_view_into() + encode_checkpoint()
 //     ▼
 //   [P] publish stage   ViewChannel::publish() (+ epoch reclamation of
@@ -139,7 +140,9 @@ class UpdateEngine {
 
   // Enqueues (pipelined) or fully processes (inline) one batch. Blocks on
   // a full ingest queue. False once the engine has failed or stopped —
-  // the batch was NOT accepted; see error().
+  // the batch was NOT accepted; see error(). A batch that cannot apply
+  // (deleting an absent edge, an edge outside the rank) is journaled,
+  // then halts the engine at the settle stage with error() set.
   bool submit(Batch batch);
 
   // Blocks until every submitted batch is applied, published, durable

@@ -30,11 +30,7 @@ constexpr const char* kMagic = "pdmm-checkpoint v1";
 constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 40;
 
 using detail::read_exact;
-
-bool set_error(std::string* error, std::string msg) {
-  if (error) *error = std::move(msg);
-  return false;
-}
+using detail::set_error;
 
 void write_section(std::ostream& out, const char* name,
                    const std::string& payload) {

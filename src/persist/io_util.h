@@ -5,8 +5,16 @@
 #include <cstdint>
 #include <istream>
 #include <string>
+#include <utility>
 
 namespace pdmm::persist::detail {
+
+// Stores `msg` into the optional out-parameter; returns false so error
+// paths read `return set_error(error, "...")`.
+inline bool set_error(std::string* error, std::string msg) {
+  if (error) *error = std::move(msg);
+  return false;
+}
 
 // Reads exactly n bytes into `out`, growing the buffer chunkwise so a
 // corrupted length field fails on the actual end of file instead of

@@ -4,9 +4,113 @@
 
 #include "core/matcher.h"
 #include "persist/checkpoint.h"
+#include "persist/io_util.h"
 #include "persist/journal.h"
 
 namespace pdmm::persist {
+
+using detail::set_error;
+
+CheckpointChoice select_checkpoint(const std::string& prefix,
+                                   DynamicMatcher& m,
+                                   const std::string& expected_stream) {
+  CheckpointChoice c;
+  const auto skip = [&](std::string why) {
+    ++c.skipped;
+    c.last_skip = std::move(why);
+  };
+  for (const auto& [epoch, path] : list_checkpoints(prefix)) {
+    CheckpointData ck;
+    std::string err;
+    if (!read_checkpoint_file(path, ck, &err)) {
+      skip(err);
+      continue;
+    }
+    if (!expected_stream.empty() && !ck.stream().empty() &&
+        ck.stream() != expected_stream) {
+      c.error = path + ": checkpoint was recorded from a different update "
+                "stream (checkpoint: \"" + ck.stream() + "\", expected: \"" +
+                expected_stream + "\")";
+      return c;
+    }
+    // Falling back past a wrong-Config checkpoint to a journal-only replay
+    // under this Config would "succeed" into a diverged lineage.
+    Config ck_cfg;
+    if (ck.config(ck_cfg) && !same_lineage(ck_cfg, m.config())) {
+      c.error = path + ": checkpoint was written under a different Config "
+                "(rank/seed/settle parameters); construct the matcher "
+                "with the flags it was written under or the replay will "
+                "diverge";
+      return c;
+    }
+    if (ck.epoch() != epoch) {  // renamed/copied under the wrong epoch
+      skip(path + ": checkpoint epoch disagrees with its filename");
+      continue;
+    }
+    std::istringstream snap(ck.snapshot);
+    if (SnapshotError serr = m.load(snap); !serr.ok()) {
+      skip(path + ": " + serr.to_string());
+      continue;
+    }
+    if (m.batch_epoch() != ck.epoch()) {
+      // Meta and snapshot disagree: discard the state already loaded, or
+      // a caller's fallback would replay the journal on top of it.
+      m.reset_to_empty();
+      skip(path + ": checkpoint epoch disagrees with its snapshot");
+      continue;
+    }
+    c.path = path;
+    c.epoch = epoch;
+    c.stream = ck.stream();
+    return c;
+  }
+  return c;
+}
+
+bool apply_journal_record(DynamicMatcher& m, uint64_t epoch,
+                          const Batch& batch, std::string* error) {
+  const size_t rank = m.config().max_rank;
+  for (const auto& eps : batch.deletions) {
+    // Bound the rank before find_edge — the registry lookup itself
+    // asserts on an over-rank endpoint list.
+    if (eps.empty() || eps.size() > rank || m.find_edge(eps) == kNoEdge) {
+      return set_error(error, "batch " + std::to_string(epoch) +
+                                  " deletes an edge this state does not "
+                                  "contain (the update stream does not "
+                                  "match this state's lineage)");
+    }
+  }
+  for (const auto& eps : batch.insertions) {
+    if (eps.empty() || eps.size() > rank) {
+      return set_error(error, "batch " + std::to_string(epoch) +
+                                  " inserts an edge outside this matcher's "
+                                  "rank " + std::to_string(rank));
+    }
+  }
+  m.update_by_endpoints(batch.deletions, batch.insertions);
+  if (m.batch_epoch() != epoch) {
+    return set_error(error, "replay diverged: matcher reached epoch " +
+                                std::to_string(m.batch_epoch()) +
+                                " applying batch " + std::to_string(epoch));
+  }
+  return true;
+}
+
+bool compare_to_checkpoint(const DynamicMatcher& m, const CheckpointData& ck,
+                           std::string* error) {
+  std::ostringstream os;
+  if (!m.save(os)) {
+    return set_error(error, "cannot serialize the state for the byte "
+                            "compare");
+  }
+  if (os.str() != ck.snapshot) {
+    return set_error(error, "DIVERGENCE: state at epoch " +
+                                std::to_string(m.batch_epoch()) +
+                                " is not byte-identical to the "
+                                "checkpoint's snapshot");
+  }
+  return true;
+}
 
 RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
   RecoveryReport rep;
@@ -15,80 +119,21 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
     return rep;
   }
 
-  // 1. Newest checkpoint that validates end-to-end (container checksums
-  // AND the snapshot loader's own verification).
-  std::string last_error;
-  std::string ck_stream;  // fingerprint the accepted checkpoint recorded
+  // 1. Newest checkpoint that validates end-to-end.
+  CheckpointChoice ck;
   if (!opt.checkpoint_prefix.empty()) {
-    for (const auto& [epoch, path] : list_checkpoints(opt.checkpoint_prefix)) {
-      CheckpointData ck;
-      std::string err;
-      if (!read_checkpoint_file(path, ck, &err)) {
-        ++rep.skipped_checkpoints;
-        last_error = err;
-        continue;
-      }
-      // Like a Config mismatch, a stream-fingerprint mismatch on a
-      // CRC-valid checkpoint is operator error (restarted against a
-      // different trace/generator), not damage — skipping to an older
-      // checkpoint of the same wrong lineage cannot help. Hard stop.
-      if (!opt.expected_stream.empty() && !ck.stream().empty() &&
-          ck.stream() != opt.expected_stream) {
-        rep.error = path + ": checkpoint was recorded from a different "
-                    "update stream (checkpoint: \"" + ck.stream() +
-                    "\", this run: \"" + opt.expected_stream + "\")";
-        return rep;
-      }
-      // A CRC-valid checkpoint whose recorded Config disagrees with the
-      // matcher's is operator error (restarted with different flags), not
-      // damage: falling back to a journal-only replay under the wrong
-      // Config would "succeed" into a diverged lineage. Hard stop.
-      Config ck_cfg;
-      if (ck.config(ck_cfg)) {
-        const Config& mc = m.config();
-        if (ck_cfg.max_rank != mc.max_rank || ck_cfg.seed != mc.seed ||
-            ck_cfg.settle_after_insertions != mc.settle_after_insertions ||
-            ck_cfg.subsettle_iter_factor != mc.subsettle_iter_factor ||
-            ck_cfg.max_settle_repeats != mc.max_settle_repeats ||
-            ck_cfg.max_eager_sweeps != mc.max_eager_sweeps ||
-            ck_cfg.auto_rebuild != mc.auto_rebuild) {
-          rep.error = path +
-                      ": checkpoint was written under a different Config "
-                      "(rank/seed/settle parameters); construct the "
-                      "matcher with the original flags";
-          return rep;
-        }
-      }
-      if (ck.epoch() != epoch) {  // renamed/copied under the wrong epoch
-        ++rep.skipped_checkpoints;
-        last_error = path + ": checkpoint epoch disagrees with its filename";
-        continue;
-      }
-      std::istringstream snap(ck.snapshot);
-      if (SnapshotError serr = m.load(snap); !serr.ok()) {
-        ++rep.skipped_checkpoints;
-        last_error = path + ": " + serr.to_string();
-        continue;
-      }
-      if (m.batch_epoch() != ck.epoch()) {
-        // Meta and snapshot disagree: reject the checkpoint — and discard
-        // the state it already loaded into m, or the fallback path below
-        // would replay the journal on top of it.
-        m.reset_to_empty();
-        ++rep.skipped_checkpoints;
-        last_error = path + ": checkpoint epoch disagrees with its snapshot";
-        continue;
-      }
-      rep.checkpoint_path = path;
-      rep.checkpoint_epoch = epoch;
-      ck_stream = ck.stream();
-      break;
+    ck = select_checkpoint(opt.checkpoint_prefix, m, opt.expected_stream);
+    rep.checkpoint_path = ck.path;
+    rep.checkpoint_epoch = ck.epoch;
+    rep.skipped_checkpoints = ck.skipped;
+    if (!ck.error.empty()) {
+      rep.error = ck.error;
+      return rep;
     }
-    if (rep.checkpoint_path.empty() && opt.journal_path.empty()) {
-      rep.error = rep.skipped_checkpoints
-                      ? "no valid checkpoint (" + last_error + ")"
-                      : "no checkpoint files found under prefix " +
-                            opt.checkpoint_prefix;
+    if (ck.path.empty() && opt.journal_path.empty()) {
+      rep.error = ck.skipped ? "no valid checkpoint (" + ck.last_skip + ")"
+                             : "no checkpoint files found under prefix " +
+                                   opt.checkpoint_prefix;
       return rep;
     }
   }
@@ -120,37 +165,7 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
         }
       }
       if (rec.epoch <= base) return true;  // already inside the checkpoint
-      // A record that does not apply to this state (deleting an edge the
-      // matcher does not have, inserting past its rank) means the journal
-      // belongs to a different run than the checkpoint; update() would
-      // assert on it, so reject it here instead. The guards stop at what
-      // would abort: an insertion duplicating a present edge is NOT
-      // treated as mismatch evidence, because it is well-defined batch
-      // semantics (update() skips it deterministically) that a legitimate
-      // run's journal may contain — rejecting it would refuse valid logs.
-      for (const auto& eps : rec.batch.deletions) {
-        // Bound the rank before find_edge — the registry lookup itself
-        // asserts on an over-rank endpoint list.
-        if (eps.empty() || eps.size() > m.config().max_rank ||
-            m.find_edge(eps) == kNoEdge) {
-          sink_error = "journal record " + std::to_string(rec.epoch) +
-                       " deletes an edge this state does not contain "
-                       "(journal does not match the checkpoint)";
-          return false;
-        }
-      }
-      for (const auto& eps : rec.batch.insertions) {
-        if (eps.empty() || eps.size() > m.config().max_rank) {
-          sink_error = "journal record " + std::to_string(rec.epoch) +
-                       " inserts an edge outside this matcher's rank";
-          return false;
-        }
-      }
-      m.update_by_endpoints(rec.batch.deletions, rec.batch.insertions);
-      if (m.batch_epoch() != rec.epoch) {
-        sink_error = "replay diverged: matcher reached epoch " +
-                     std::to_string(m.batch_epoch()) +
-                     " applying journal record " + std::to_string(rec.epoch);
+      if (!apply_journal_record(m, rec.epoch, rec.batch, &sink_error)) {
         return false;
       }
       ++rep.replayed_batches;
@@ -169,9 +184,9 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
                      "\", this run: \"" + opt.expected_stream + "\")";
         return false;
       }
-      if (!ck_stream.empty() && js != ck_stream) {
+      if (!ck.stream.empty() && js != ck.stream) {
         sink_error = "checkpoint and journal record different update "
-                     "streams (checkpoint: \"" + ck_stream +
+                     "streams (checkpoint: \"" + ck.stream +
                      "\", journal: \"" + js +
                      "\"); not the same run's lineage";
         return false;
@@ -193,7 +208,7 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
         scan.record_count == 0) {
       // Every checkpoint is damaged and the journal holds nothing: an
       // empty matcher is NOT the durable state, it is data loss.
-      rep.error = "all checkpoints damaged (" + last_error +
+      rep.error = "all checkpoints damaged (" + ck.last_skip +
                   ") and the journal holds no records to rebuild from";
       return rep;
     }

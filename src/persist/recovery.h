@@ -2,15 +2,15 @@
 // newest valid checkpoint plus the journal tail.
 //
 // The procedure (see docs/ARCHITECTURE.md "Durability & recovery"):
-//   1. Walk "<prefix>.<epoch>" checkpoints newest-first; load the first
-//      one whose sections checksum AND whose snapshot passes the
-//      validating loader. Damaged checkpoints are skipped, not fatal —
-//      an older checkpoint plus a longer journal replay reaches the same
-//      state because replay is deterministic.
+//   1. select_checkpoint(): load the newest checkpoint whose sections
+//      checksum AND whose snapshot passes the validating loader. Damaged
+//      checkpoints are skipped, not fatal — an older checkpoint plus a
+//      longer journal replay reaches the same state because replay is
+//      deterministic.
 //   2. Scan the journal; drop the torn tail; verify the durable records
 //      connect contiguously to the checkpoint epoch.
 //   3. Replay every record with epoch > checkpoint epoch through
-//      update_by_endpoints(), verifying the matcher's batch counter
+//      apply_journal_record(), which verifies the matcher's batch counter
 //      tracks the record epochs. Replay streams through the scan itself
 //      (scan_journal_streamed), so recovery memory stays O(1 record)
 //      even for a journal-only restart over a multi-GB log.
@@ -32,6 +32,8 @@ namespace pdmm {
 class DynamicMatcher;
 
 namespace persist {
+
+struct CheckpointData;
 
 struct RecoveryOptions {
   std::string checkpoint_prefix;  // empty: journal-only (replay from empty)
@@ -63,6 +65,50 @@ struct RecoveryReport {
   uint64_t journal_last_epoch = 0;
   std::string journal_stream;  // fingerprint from the journal header
 };
+
+// ---- The replay primitives --------------------------------------------
+// Recovery, follower bootstrap/tail, the update engine's settle stage and
+// pdmm_recover --verify_checkpoint all rest on "same Config + same journal
+// => same bytes". Each step of that rule lives here once; callers keep
+// only their policy (what to do when no checkpoint is usable, whether a
+// stray file is an error).
+
+// Outcome of the newest-valid checkpoint walk.
+struct CheckpointChoice {
+  std::string path;        // accepted checkpoint; empty: none (m is empty)
+  uint64_t epoch = 0;
+  std::string stream;      // the accepted checkpoint's fingerprint
+  size_t skipped = 0;      // damaged or misnamed files passed over
+  std::string last_skip;   // why the most recent one was skipped
+  std::string error;       // hard stop: stream or Config mismatch
+};
+
+// Walks "<prefix>.<epoch>" newest-first and loads into `m` the first
+// checkpoint that validates end-to-end (section CRCs, the snapshot
+// loader, and the epoch agreeing across filename, meta and snapshot).
+// Damaged or misnamed files are skipped. A CRC-valid file recorded from a
+// different stream than `expected_stream` (when both are non-empty) or
+// under a Config that is not same_lineage() with m's is operator error —
+// an older file of the same wrong lineage cannot help, so the walk stops
+// with `error` set. On return without `path`, `m` holds no loaded state.
+CheckpointChoice select_checkpoint(const std::string& prefix,
+                                   DynamicMatcher& m,
+                                   const std::string& expected_stream);
+
+// Applies one journaled batch as batch `epoch` of `m`. A batch that
+// cannot apply to this state (deleting an absent edge, an endpoint list
+// outside m's rank) is refused before update() could abort on it, and the
+// matcher must land exactly on `epoch`. False with *error on either (a
+// refused batch leaves m untouched). Inserting an edge that is present
+// is NOT refused: update() skips it deterministically, and a legitimate
+// stream may contain it.
+bool apply_journal_record(DynamicMatcher& m, uint64_t epoch,
+                          const Batch& batch, std::string* error);
+
+// Byte-compares m's serialized state with the checkpoint's snapshot
+// section. False with *error when they differ or m cannot be serialized.
+bool compare_to_checkpoint(const DynamicMatcher& m, const CheckpointData& ck,
+                           std::string* error);
 
 // Restores `m` (which must be freshly constructed with the original
 // Config) to the last durable epoch. On failure the report's error says

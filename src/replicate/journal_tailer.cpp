@@ -1,6 +1,5 @@
 #include "replicate/journal_tailer.h"
 
-#include <filesystem>
 #include <fstream>
 
 #include "persist/io_util.h"
@@ -143,16 +142,16 @@ TailStatus JournalTailer::poll(const persist::JournalRecordSink& sink) {
 
   std::ifstream in(path_, std::ios::binary);
   if (!in) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path_, ec)) {
-      if (header_ == HeaderState::kNone) {
-        file_size_ = 0;
-        return TailStatus::kIdle;  // primary has not created it yet
-      }
-      return fail(path_ + ": journal vanished mid-tail (" +
-                  std::to_string(offset_) + " bytes were validated)");
+    // Decided from the open alone: a second filesystem call (exists())
+    // would race the primary creating the file between the two.
+    if (header_ == HeaderState::kNone) {
+      file_size_ = 0;
+      return TailStatus::kIdle;  // primary has not created it yet
     }
-    return fail(path_ + ": cannot open journal for reading");
+    return fail(path_ + ": journal vanished or became unreadable "
+                "mid-tail (" + std::to_string(offset_) + " bytes were "
+                "validated); restore the primary's journal or re-bootstrap "
+                "this follower");
   }
   in.seekg(0, std::ios::end);
   file_size_ = static_cast<uint64_t>(in.tellg());

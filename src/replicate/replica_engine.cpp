@@ -1,9 +1,9 @@
 #include "replicate/replica_engine.h"
 
 #include <filesystem>
-#include <sstream>
 
 #include "persist/checkpoint.h"
+#include "persist/recovery.h"
 #include "util/sync_point.h"
 
 namespace pdmm::replicate {
@@ -65,60 +65,17 @@ bool ReplicaEngine::bootstrap(std::string* error) {
     return set_err("replica needs the primary's journal path");
   }
 
-  // Same walk as recovery: newest checkpoint that validates end-to-end,
-  // damaged ones skipped, wrong-lineage ones (stream/config) a hard stop.
   if (!opt_.checkpoint_prefix.empty()) {
-    for (const auto& [epoch, path] :
-         persist::list_checkpoints(opt_.checkpoint_prefix)) {
-      persist::CheckpointData ck;
-      std::string err;
-      if (!persist::read_checkpoint_file(path, ck, &err)) continue;
-      if (!opt_.expected_stream.empty() && !ck.stream().empty() &&
-          ck.stream() != opt_.expected_stream) {
-        return set_err(path + ": primary checkpoint was recorded from a "
-                       "different update stream (checkpoint: \"" +
-                       ck.stream() + "\", this follower: \"" +
-                       opt_.expected_stream + "\")");
-      }
-      Config ck_cfg;
-      if (ck.config(ck_cfg)) {
-        const Config& mc = matcher_.config();
-        if (ck_cfg.max_rank != mc.max_rank || ck_cfg.seed != mc.seed ||
-            ck_cfg.settle_after_insertions != mc.settle_after_insertions ||
-            ck_cfg.subsettle_iter_factor != mc.subsettle_iter_factor ||
-            ck_cfg.max_settle_repeats != mc.max_settle_repeats ||
-            ck_cfg.max_eager_sweeps != mc.max_eager_sweeps ||
-            ck_cfg.auto_rebuild != mc.auto_rebuild) {
-          return set_err(path + ": primary checkpoint was written under a "
-                         "different Config (rank/seed/settle parameters); "
-                         "a follower must run the primary's exact flags or "
-                         "its replay will diverge");
-        }
-      }
-      if (ck.epoch() != epoch) continue;  // renamed stray
-      std::istringstream snap(ck.snapshot);
-      if (SnapshotError serr = matcher_.load(snap); !serr.ok()) continue;
-      if (matcher_.batch_epoch() != ck.epoch()) {
-        matcher_.reset_to_empty();
-        continue;
-      }
-      if (!ck.stream().empty()) {
-        if (!stream_.empty() && stream_ != ck.stream()) {
-          // expected_stream mismatches were caught above; this arm is
-          // unreachable today but keeps the invariant local.
-          return set_err(path + ": checkpoint stream disagrees with the "
-                         "follower's");
-        }
-        stream_ = ck.stream();
-      }
-      primary_ck_epoch_ = epoch;
-      break;
-    }
+    const persist::CheckpointChoice ck = persist::select_checkpoint(
+        opt_.checkpoint_prefix, matcher_, opt_.expected_stream);
+    if (!ck.error.empty()) return set_err(ck.error);
     // No usable checkpoint is not an error for a follower: the journal
     // holds the full history, so the empty matcher at epoch 0 replays to
     // the same state — bootstrap is an optimization, not a dependency.
     // (A promoted-segment journal starting past epoch 1 will fail the
     // first apply's contiguity check with a precise error instead.)
+    if (!ck.stream.empty()) stream_ = ck.stream;
+    primary_ck_epoch_ = ck.epoch;
   }
 
   bootstrapped_ = true;
@@ -146,23 +103,16 @@ bool ReplicaEngine::verify_against_checkpoint(uint64_t epoch) {
   }
   if (ck.epoch() != epoch) return true;  // stray under the wrong name
   if (epoch > primary_ck_epoch_) primary_ck_epoch_ = epoch;
-  std::ostringstream os;
-  if (!matcher_.save(os)) {
-    apply_error_ = "cannot serialize follower state for the divergence "
-                   "cross-check at epoch " + u64s(epoch);
-    return false;
-  }
-  if (os.str() != ck.snapshot) {
+  if (!persist::compare_to_checkpoint(matcher_, ck, &err)) {
     apply_error_ =
-        "DIVERGENCE at epoch " + u64s(epoch) + ": follower state is not "
-        "byte-identical to the primary's checkpoint " + path +
-        " — the replay forked (bit rot below CRC detection, config drift, "
-        "or a determinism bug). Halting rather than serving diverged "
-        "views. Remediation: stop this follower, discard its in-memory "
-        "state, and re-bootstrap from the primary's current checkpoint "
-        "series; if the mismatch reproduces, the journal and checkpoint "
-        "disagree at the primary and the primary's artifacts need an "
-        "integrity audit (pdmm_recover --verify_checkpoint)";
+        path + ": " + err + " — the replay forked (bit rot below CRC "
+        "detection, config drift, or a determinism bug). Halting rather "
+        "than serving diverged views. Remediation: stop this follower, "
+        "discard its in-memory state, and re-bootstrap from the primary's "
+        "current checkpoint series; if the mismatch reproduces, the "
+        "journal and checkpoint disagree at the primary and the primary's "
+        "artifacts need an integrity audit (pdmm_recover "
+        "--verify_checkpoint)";
     return false;
   }
   ++ck_verified_;
@@ -184,30 +134,8 @@ bool ReplicaEngine::apply_record(persist::JournalRecord&& rec) {
                    " (epoch " + u64s(rec.epoch) + ")";
     return false;
   }
-  // Same applicability guards as recovery: a record that cannot apply to
-  // this state proves the journal and the bootstrap checkpoint are not
-  // the same lineage — update() would abort on it, so refuse first.
-  for (const auto& eps : rec.batch.deletions) {
-    if (eps.empty() || eps.size() > matcher_.config().max_rank ||
-        matcher_.find_edge(eps) == kNoEdge) {
-      apply_error_ = "journal record " + u64s(rec.epoch) + " deletes an "
-                     "edge this replica does not contain (journal does "
-                     "not match the bootstrap checkpoint)";
-      return false;
-    }
-  }
-  for (const auto& eps : rec.batch.insertions) {
-    if (eps.empty() || eps.size() > matcher_.config().max_rank) {
-      apply_error_ = "journal record " + u64s(rec.epoch) + " inserts an "
-                     "edge outside this replica's rank";
-      return false;
-    }
-  }
-  matcher_.update_by_endpoints(rec.batch.deletions, rec.batch.insertions);
-  if (matcher_.batch_epoch() != rec.epoch) {
-    apply_error_ = "replay diverged: follower reached epoch " +
-                   u64s(matcher_.batch_epoch()) + " applying record " +
-                   u64s(rec.epoch);
+  if (!persist::apply_journal_record(matcher_, rec.epoch, rec.batch,
+                                     &apply_error_)) {
     return false;
   }
   ++records_applied_;

@@ -5,23 +5,23 @@
 //               (tmp+rename) and written only AFTER its covering journal
 //               group committed, so any checkpoint a follower can see
 //               names an epoch the journal already holds. Restoring the
-//               newest valid one (same validation walk as recovery) gives
-//               a correct state at epoch E with the journal guaranteed to
+//               newest valid one (persist::select_checkpoint) gives a
+//               correct state at epoch E with the journal guaranteed to
 //               continue from <= E+1.
 //
 //   tail-replay The JournalTailer delivers every record the primary made
 //   + follow    durable, exactly once, in epoch order, distinguishing an
 //               in-flight append (retry) from rot (halt). Applying each
-//               record through the same deterministic matcher the primary
-//               runs reproduces the primary's state BYTE-IDENTICALLY —
-//               that is the repo's replay-determinism contract, and the
-//               follower leans on it completely: no state is shipped,
-//               only the log.
+//               record (persist::apply_journal_record) through the same
+//               deterministic matcher the primary runs reproduces the
+//               primary's state BYTE-IDENTICALLY — that is the repo's
+//               replay-determinism contract, and the follower leans on
+//               it completely: no state is shipped, only the log.
 //
 //   divergence  Determinism is also checkable, not just assumed: whenever
 //               the follower's applied epoch matches a primary checkpoint
-//               file, the follower serializes its own state and compares
-//               byte-for-byte against the checkpoint's snapshot section.
+//               file, the follower byte-compares its own state against
+//               the checkpoint's snapshot (persist::compare_to_checkpoint).
 //               Any mismatch (cosmic rot the CRCs missed, a config drift,
 //               a nondeterminism bug) halts the follower LOUDLY — serving
 //               stale-but-honest views is recoverable, serving diverged

@@ -366,6 +366,39 @@ TEST_F(EngineTest, FsyncFailureSurfacesOnDurabilityWatermark) {
   EXPECT_FALSE(eng.stop());
 }
 
+// A batch that cannot apply to the matcher (deleting an absent edge)
+// halts the engine at the settle stage with an error, in both modes,
+// instead of aborting inside update(); the matcher keeps the last good
+// epoch.
+TEST_F(EngineTest, UnappliableBatchHaltsEngineInsteadOfAborting) {
+  ThreadPool pool(1);
+  const Config cfg = engine_config();
+  const RefRun ref = drive_reference(cfg, pool, 3);
+  Batch bogus;
+  bogus.deletions.push_back({4000, 4001});
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "inline");
+    DynamicMatcher m(cfg, pool);
+    m.updater_role().assert_held();
+    std::string err;
+    auto j = Journal::open(path(pipelined ? "p.log" : "i.log"), {}, &err);
+    ASSERT_NE(j, nullptr) << err;
+    UpdateEngine::Options eo;
+    eo.pipelined = pipelined;
+    UpdateEngine eng(m, nullptr, j.get(), eo);
+    for (const Batch& b : ref.batches) ASSERT_TRUE(eng.submit(b));
+    // Inline settles inside submit() and refuses; pipelined queues it.
+    EXPECT_EQ(eng.submit(bogus), pipelined);
+    EXPECT_FALSE(eng.drain());
+    EXPECT_FALSE(eng.stop());
+    EXPECT_TRUE(eng.failed());
+    EXPECT_NE(eng.error().find("settle"), std::string::npos) << eng.error();
+    EXPECT_NE(eng.error().find("does not contain"), std::string::npos)
+        << eng.error();
+    EXPECT_EQ(save_str(m), ref.reference[3]);
+  }
+}
+
 TEST_F(EngineTest, JournalCommitFailureLeavesWatermarkBehind) {
   ThreadPool pool(1);
   const Config cfg = engine_config();

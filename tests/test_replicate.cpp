@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -471,6 +473,51 @@ TEST_F(ReplicateTest, MissingFileIsIdleUntilSeenThenTerminal) {
       << tailer.error();
 }
 
+// Regression for the open/exists race: the follower starts polling before
+// the primary creates its journal (the order bench_replicate uses), and
+// the primary creates it while the follower spins. An open that fails
+// before any header was seen is idle, never a terminal error, however the
+// creation interleaves with the poll.
+TEST_F(ReplicateTest, FollowerStartedBeforeJournalExistsNeverFails) {
+  ThreadPool pool(1);
+  const Config cfg = replicate_config();
+  const RefRun ref = drive_reference(cfg, pool, 2);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::string wal = path("race" + std::to_string(iter) + ".log");
+    std::atomic<bool> polling{false};
+    std::string ferr;
+    uint64_t applied = 0;
+    std::thread follower([&] {
+      ThreadPool fpool(1);
+      DynamicMatcher fm(cfg, fpool);
+      ReplicaOptions ro;
+      ro.journal_path = wal;
+      ReplicaEngine rep(fm, nullptr, ro);
+      if (!rep.bootstrap(&ferr)) return;
+      // mo: release — pairs with the creator's acquire spin.
+      polling.store(true, std::memory_order_release);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (rep.applied_epoch() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        if (rep.step() == TailStatus::kFailed) {
+          ferr = rep.error();
+          return;
+        }
+      }
+      applied = rep.applied_epoch();
+    });
+    // mo: acquire — pairs with the follower's release store.
+    while (!polling.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    write_journal(wal, ref.batches);
+    follower.join();
+    ASSERT_TRUE(ferr.empty()) << "iteration " << iter << ": " << ferr;
+    ASSERT_EQ(applied, 2u) << "iteration " << iter;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ReplicaEngine: live-follow equivalence under a concurrent primary
 // ---------------------------------------------------------------------------
@@ -499,6 +546,7 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
       // and tailing until it has applied every epoch.
       std::string follower_state, follower_err;
       replicate::ReplicaHealth follower_health;
+      std::atomic<bool> bootstrapped{false};
       std::thread follower([&] {
         ThreadPool fpool(threads);
         DynamicMatcher fm(cfg, fpool);
@@ -507,7 +555,10 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
         ropt.checkpoint_prefix = ck;
         ropt.expected_stream = kStreamFp;
         ReplicaEngine rep(fm, nullptr, ropt);
-        if (!rep.bootstrap(&follower_err)) return;
+        const bool booted = rep.bootstrap(&follower_err);
+        // mo: release — pairs with the primary's acquire wait below.
+        bootstrapped.store(true, std::memory_order_release);
+        if (!booted) return;
         util::Backoff poll(util::Backoff::Options{50, 2000, 2.0, 0.2, 1});
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -530,6 +581,14 @@ TEST_F(ReplicateTest, LiveFollowEquivalenceAcrossGroupCommitAndThreads) {
         follower_health = rep.health();
         follower_state = save_str(fm);
       });
+
+      // The primary starts only once the follower has bootstrapped, so
+      // the series is still empty then and the follower replays every
+      // epoch from the journal (records_applied below counts them).
+      // mo: acquire — pairs with the follower's release store.
+      while (!bootstrapped.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
 
       // Primary: pipelined engine appending the journal live.
       {
@@ -614,6 +673,88 @@ TEST_F(ReplicateTest, BootstrapFromCheckpointSkipsCoveredHistory) {
     EXPECT_EQ(h->epoch, 12u);
   }
   EXPECT_EQ(rep.step(), TailStatus::kIdle);
+}
+
+// same_lineage() is the one list of Config fields that fork a replay. A
+// checkpoint written under a different value of any of them must be
+// refused by BOTH consumers of the checkpoint walk — recovery and
+// follower bootstrap — and a checkpoint differing only in a sizing or
+// observation knob must be accepted by both, restoring the writer's bytes.
+TEST_F(ReplicateTest, LineageFieldsDecideCheckpointAcceptance) {
+  struct Case {
+    const char* field;
+    void (*change)(Config&);
+    bool forks;
+  };
+  const Case cases[] = {
+      {"max_rank", [](Config& c) { c.max_rank += 1; }, true},
+      {"seed", [](Config& c) { c.seed += 1; }, true},
+      {"settle_after_insertions",
+       [](Config& c) {
+         c.settle_after_insertions = !c.settle_after_insertions;
+       },
+       true},
+      {"subsettle_iter_factor",
+       [](Config& c) { c.subsettle_iter_factor += 1; }, true},
+      {"max_settle_repeats", [](Config& c) { c.max_settle_repeats += 1; },
+       true},
+      {"max_eager_sweeps", [](Config& c) { c.max_eager_sweeps += 1; }, true},
+      {"auto_rebuild", [](Config& c) { c.auto_rebuild = !c.auto_rebuild; },
+       true},
+      {"initial_capacity", [](Config& c) { c.initial_capacity *= 2; }, false},
+      {"collect_epoch_stats",
+       [](Config& c) { c.collect_epoch_stats = !c.collect_epoch_stats; },
+       false},
+      {"check_invariants",
+       [](Config& c) { c.check_invariants = !c.check_invariants; }, false},
+  };
+  ThreadPool pool(1);
+  const Config cfg = replicate_config();
+  const RefRun ref = drive_reference(cfg, pool, 4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    Config written = cfg;
+    c.change(written);
+    ASSERT_EQ(same_lineage(written, cfg), !c.forks);
+    const std::string prefix = path(std::string("ck_") + c.field);
+    std::string writer_bytes, err;
+    {
+      DynamicMatcher w(written, pool);
+      for (const Batch& b : ref.batches) {
+        w.update_by_endpoints(b.deletions, b.insertions);
+      }
+      writer_bytes = save_str(w);
+      ASSERT_TRUE(persist::write_checkpoint_series(prefix, w, 2, &err))
+          << err;
+    }
+
+    DynamicMatcher recovered(cfg, pool);
+    persist::RecoveryOptions ropt;
+    ropt.checkpoint_prefix = prefix;
+    const persist::RecoveryReport rep = persist::recover(recovered, ropt);
+
+    DynamicMatcher follower(cfg, pool);
+    ReplicaOptions fopt;
+    fopt.journal_path = path("absent.log");
+    fopt.checkpoint_prefix = prefix;
+    ReplicaEngine replica(follower, nullptr, fopt);
+    std::string berr;
+    const bool booted = replica.bootstrap(&berr);
+
+    if (c.forks) {
+      EXPECT_FALSE(rep.ok);
+      EXPECT_NE(rep.error.find("different Config"), std::string::npos)
+          << rep.error;
+      EXPECT_FALSE(booted);
+      EXPECT_NE(berr.find("different Config"), std::string::npos) << berr;
+    } else {
+      ASSERT_TRUE(rep.ok) << rep.error;
+      EXPECT_EQ(rep.checkpoint_epoch, ref.batches.size());
+      EXPECT_EQ(save_str(recovered), writer_bytes);
+      ASSERT_TRUE(booted) << berr;
+      EXPECT_EQ(save_str(follower), writer_bytes);
+    }
+  }
 }
 
 // Divergence cross-checks: every primary checkpoint whose epoch the

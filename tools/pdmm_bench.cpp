@@ -1,4 +1,4 @@
-// pdmm_bench: the unified benchmark runner. Links every harness registered
+// pdmm_bench: the benchmark runner. Links every harness registered
 // in bench/ (via the pdmm_bench_suite object library) and runs any subset
 // by name/regex with shared repetition, warmup, thread, seed and JSON
 // handling:

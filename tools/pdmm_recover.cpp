@@ -26,7 +26,6 @@
 // becomes matcher seed S+1; the default S is 1).
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/checker.h"
 #include "core/matcher.h"
@@ -65,14 +64,8 @@ int finish(DynamicMatcher& m, bool check, const std::string& verify_ck,
                    "there)\n";
       return 1;
     }
-    std::ostringstream os;
-    if (!m.save(os)) {
-      std::cerr << "cannot serialize state for verification\n";
-      return 1;
-    }
-    if (os.str() != ck.snapshot) {
-      std::cerr << "DIVERGENCE: state at epoch " << m.batch_epoch()
-                << " is NOT byte-identical to " << verify_ck
+    if (!persist::compare_to_checkpoint(m, ck, &err)) {
+      std::cerr << verify_ck << ": " << err
                 << " — the journal lineage and this checkpoint disagree\n";
       return 1;
     }
@@ -135,7 +128,10 @@ int main(int argc, char** argv) {
     }
     DynamicMatcher m(flag_cfg, pool);
     for (uint64_t i = 0; i < replay_epoch; ++i) {
-      m.update_by_endpoints(trace[i].deletions, trace[i].insertions);
+      if (!persist::apply_journal_record(m, i + 1, trace[i], &err)) {
+        std::cerr << replay_trace << ": " << err << "\n";
+        return 1;
+      }
     }
     std::cout << "replayed " << replay_epoch << " batches, final epoch "
               << m.batch_epoch() << ", |M|=" << m.matching_size() << "\n";
