@@ -1,17 +1,11 @@
 #include "persist/journal.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "persist/io_util.h"
-#include "persist/journal_format.h"
-#include "util/crc32.h"
 #include "util/sync_point.h"
-#include "workload/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -20,224 +14,48 @@
 
 namespace pdmm::persist {
 
-namespace {
-
-using detail::read_exact;
-
-constexpr const char* kMagic = kJournalMagic;
-
-// One journal record's bytes: header line + trace-encoded batch payload
-// (grammar and validation rules live in journal_format.h, shared with the
-// read-only live tailer). Note an inherent tail ambiguity no header
-// checksum could remove: for the FINAL record, a rotted byte and a
-// torn write are indistinguishable (both fail validation with nothing
-// after them), so the durability granularity at the tail is one record
-// either way — exactly the bound the flush-per-record model documents.
-void encode_record_into(uint64_t epoch, const Batch& b, std::string& out) {
-  std::ostringstream payload;
-  write_batch(payload, b);
-  std::string body = std::move(payload).str();
-  out.clear();
-  out += "rec ";
-  out += std::to_string(epoch);
-  out += ' ';
-  out += std::to_string(body.size());
-  out += ' ';
-  out += std::to_string(crc32(body));
-  out += '\n';
-  out += body;
-}
-
-// Shared scan core. Exactly one consumer shape per call: either records
-// are retained into out.records (keep_records/keep_after) or every record
-// streams through `sink` with nothing retained.
-JournalScan scan_journal_impl(const std::string& path, bool keep_records,
-                              uint64_t keep_after,
-                              const JournalRecordSink* sink,
-                              const JournalHeaderHook* on_header) {
+JournalScan scan_journal(const std::string& path,
+                         const JournalRecordSink& sink,
+                         const std::string& expected_stream) {
   JournalScan out;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) {
-      out.ok = true;  // nothing journaled yet
-      return out;
-    }
-    out.error = "cannot open " + path;
+    out.ok = !std::filesystem::exists(path, ec);  // nothing journaled yet
+    if (!out.ok) out.error = "cannot open " + path;
     return out;
   }
-  std::string line;
-  if (!std::getline(in, line)) {
-    // Zero-length file: treat like a missing one (open() writes the
-    // header on its first append position).
-    out.ok = true;
-    return out;
-  }
-  const bool header_unterminated = in.eof();  // getline stopped at EOF
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line != kMagic) {
-    out.error = path + ": unrecognized journal header";
-    return out;
-  }
-  if (header_unterminated) {
-    // The header bytes are right but the newline never hit the disk: a
-    // torn header write. tellg() on an eof stream would return -1, so do
-    // not trust it — treat the whole file as torn tail (valid_bytes 0),
-    // which reopen-for-append truncates and rewrites from scratch.
-    out.ok = true;
-    out.truncated_tail = true;
-    out.tail_error = path + ": journal header missing its newline";
-    return out;
-  }
-  out.ok = true;
-  out.valid_bytes = static_cast<uint64_t>(in.tellg());
-
-  // Optional `stream <fingerprint>` line, written at creation right after
-  // the magic. A torn stream line is handled like a torn header: nothing
-  // durable can follow it (it precedes every record), so the whole file
-  // rewrites from scratch.
-  {
-    const std::streampos after_header = in.tellg();
-    if (std::getline(in, line)) {
-      const bool stream_unterminated = in.eof();
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.rfind("stream ", 0) == 0) {
-        if (stream_unterminated) {
-          out.truncated_tail = true;
-          out.valid_bytes = 0;
-          out.tail_error = path + ": journal stream line missing its newline";
-          return out;
-        }
-        out.stream = line.substr(7);
-        out.valid_bytes = static_cast<uint64_t>(in.tellg());
-      } else {
-        in.clear();
-        in.seekg(after_header);
+  JournalReader reader(path, expected_stream);
+  const JournalReader::Frontier f = reader.read(in, sink);
+  out.stream = reader.stream();
+  out.record_count = reader.record_count();
+  out.last_epoch = reader.last_epoch();
+  out.valid_bytes = reader.offset();
+  switch (f) {
+    case JournalReader::Frontier::kEnd:
+      out.ok = true;
+      break;
+    case JournalReader::Frontier::kTorn:
+      // The file is closed: a torn frontier is a crash tail, unless data
+      // lies beyond it.
+      if (reader.intact_beyond()) {
+        out.error = reader.rot_error();
+        break;
       }
-    } else {
-      in.clear();
-      in.seekg(after_header);
-    }
-  }
-  if (on_header && *on_header && !(*on_header)(out.stream)) {
-    out.ok = false;
-    out.error = path + ": journal header rejected by the caller";
-    return out;
-  }
-
-  // Distinguishes a crash tail from mid-file rot: after the first invalid
-  // record, an intact record further on means durable data lies BEYOND
-  // the damage — truncating there would destroy it, so the file must be
-  // refused instead. A genuine crash tear is a prefix of one in-flight
-  // record (appends are sequential, flushed per record) and can never be
-  // followed by valid bytes; record payloads are trace op lines, so a
-  // torn payload cannot itself spell a CRC-valid "rec" line.
-  const auto intact_record_follows = [&]() {
-    std::string rline, rpayload;
-    while (std::getline(in, rline)) {
-      if (!rline.empty() && rline.back() == '\r') rline.pop_back();
-      RecordHeader rh;
-      if (!parse_record_header(rline, rh)) continue;
-      const auto pos = in.tellg();
-      if (read_exact(in, rh.nbytes, rpayload) && crc32(rpayload) == rh.crc) {
-        return true;
-      }
-      in.clear();
-      in.seekg(pos);
-    }
-    return false;
-  };
-  // `probe_from` is the offset just past the suspect record's header
-  // line: the resync probe must start there, not wherever the failed
-  // read left the stream — a rotted length field can consume every byte
-  // to EOF (or overshoot into later records) before failing, which would
-  // otherwise blind the probe to the intact records after the damage.
-  const auto tail_fail = [&](std::string why, std::streampos probe_from) {
-    bool midfile = false;
-    if (probe_from != std::streampos(-1)) {
-      in.clear();  // the failed read may have set eof/failbit
-      in.seekg(probe_from);
-      midfile = in.good() && intact_record_follows();
-    }
-    if (midfile) {
-      out.ok = false;
-      out.error = path + ": corrupt record mid-file with intact records "
-                  "after it (" + why + "); refusing to truncate past "
-                  "durable data";
-      return;
-    }
-    out.truncated_tail = true;
-    out.tail_error = std::move(why);
-  };
-  std::string payload;
-  while (std::getline(in, line)) {
-    // Offset just past this header line (-1 when the line ended at EOF
-    // without a newline — nothing can follow it).
-    const std::streampos probe_from =
-        in.good() ? in.tellg() : std::streampos(-1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    RecordHeader rh;
-    if (!parse_record_header(line, rh)) {
-      tail_fail("malformed record header '" + line + "'", probe_from);
-      return out;
-    }
-    const std::string epoch_tok = std::to_string(rh.epoch);
-    if (!read_exact(in, rh.nbytes, payload)) {
-      tail_fail("record payload truncated (epoch " + epoch_tok + ")",
-                probe_from);
-      return out;
-    }
-    Batch batch;
-    std::string why;
-    if (!validate_record_payload(payload, rh, batch, &why)) {
-      tail_fail(why + " (epoch " + epoch_tok + ")", probe_from);
-      return out;
-    }
-    if (rh.epoch == 0 ||
-        (out.record_count != 0 && rh.epoch != out.last_epoch + 1)) {
-      // A gap or regression is not a torn tail — it means records are
-      // missing from the durable prefix itself. Refuse the whole file.
-      out.ok = false;
-      out.error = path + ": record epochs not contiguous (saw " +
-                  epoch_tok + " after " + std::to_string(out.last_epoch) +
-                  ")";
-      return out;
-    }
-    if (sink) {
-      if (!(*sink)(JournalRecord{rh.epoch, std::move(batch)})) {
-        out.ok = false;
-        out.error = path + ": record sink aborted the scan at epoch " +
-                    epoch_tok;
-        return out;
-      }
-    } else if (keep_records && rh.epoch > keep_after) {
-      out.records.push_back({rh.epoch, std::move(batch)});
-    }
-    ++out.record_count;
-    out.last_epoch = rh.epoch;
-    out.valid_bytes = static_cast<uint64_t>(in.tellg());
+      out.ok = true;
+      out.truncated_tail = true;
+      out.tail_error = reader.error();
+      break;
+    case JournalReader::Frontier::kFailed:
+      out.error = reader.error();
+      break;
   }
   return out;
 }
 
-}  // namespace
-
-JournalScan scan_journal(const std::string& path, bool keep_records,
-                         uint64_t keep_after) {
-  return scan_journal_impl(path, keep_records, keep_after, nullptr, nullptr);
-}
-
-JournalScan scan_journal_streamed(const std::string& path,
-                                  const JournalRecordSink& sink,
-                                  const JournalHeaderHook& on_header) {
-  return scan_journal_impl(path, /*keep_records=*/false, /*keep_after=*/0,
-                           &sink, &on_header);
-}
-
 std::unique_ptr<Journal> Journal::open(const std::string& path, Options opt,
                                        std::string* error) {
-  return open_scanned(path, opt, scan_journal(path, /*keep_records=*/false),
-                      error);
+  return open_scanned(path, opt, scan_journal(path), error);
 }
 
 std::unique_ptr<Journal> Journal::open_scanned(const std::string& path,
@@ -261,7 +79,12 @@ std::unique_ptr<Journal> Journal::open_scanned(const std::string& path,
     }
     return nullptr;
   }
-  const bool fresh = scan.valid_bytes == 0;
+  // A header with no records yet is rewritten too when it lacks this run's
+  // fingerprint (a crash right after the magic line): appending to it would
+  // leave the journal unfingerprinted for good.
+  const bool fresh =
+      scan.valid_bytes == 0 ||
+      (scan.last_epoch == 0 && scan.stream.empty() && !opt.stream.empty());
   if (scan.truncated_tail && !opt.repair) {
     if (error) {
       *error = path + ": torn tail past byte " +
@@ -290,8 +113,7 @@ std::unique_ptr<Journal> Journal::open_scanned(const std::string& path,
     return nullptr;
   }
   if (fresh) {
-    std::string header = std::string(kMagic) + "\n";
-    if (!opt.stream.empty()) header += "stream " + opt.stream + "\n";
+    const std::string header = journal_header(opt.stream);
     if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
         std::fflush(f) != 0) {
       if (error) *error = "cannot write journal header to " + path;
@@ -322,7 +144,7 @@ bool Journal::append_buffered(uint64_t epoch, const Batch& b,
     }
     return false;
   }
-  encode_record_into(epoch, b, enc_buf_);
+  encode_journal_record(epoch, b, enc_buf_);
   if (std::fwrite(enc_buf_.data(), 1, enc_buf_.size(), f_) !=
       enc_buf_.size()) {
     if (error) {

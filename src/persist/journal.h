@@ -2,20 +2,16 @@
 //
 // One record per `update()` batch, appended after the batch committed in
 // memory and flushed before the next batch begins, so after a crash the
-// log holds every durable batch and at most one torn tail:
+// log holds every durable batch and at most one torn tail. The byte format
+// and its one reader live in journal_format.h.
 //
-//   pdmm-journal v1
-//   stream <fingerprint>            (optional, written at creation)
-//   rec <epoch> <nbytes> <crc32>
-//   <payload: the batch in trace op encoding (write_batch), nbytes bytes>
-//   rec ...
-//
-// The optional `stream` line names the update stream this log was recorded
-// from (a trace-file hash or the generator's parameters). Re-opening for
-// append with a different fingerprint is refused, and recovery refuses to
-// replay a journal whose fingerprint disagrees with the caller's stream or
-// with the checkpoint's recorded one — restarting a server with different
-// stream flags must fail loudly instead of diverging from epoch N on.
+// The optional `stream` header line names the update stream this log was
+// recorded from (a trace-file hash or the generator's parameters).
+// Re-opening for append with a different fingerprint is refused, and
+// recovery refuses to replay a journal whose fingerprint disagrees with the
+// caller's stream or with the checkpoint's recorded one — restarting a
+// server with different stream flags must fail loudly instead of diverging
+// from epoch N on.
 //
 // The payload reuses the trace format of src/workload/trace.* verbatim
 // (d/i op lines + the `b` boundary), so a journal replays through the
@@ -24,49 +20,42 @@
 // must increase by exactly 1 from record to record — a gap means records
 // were lost and recovery must refuse to bridge it.
 //
-// Torn-write handling: scan() walks records front to back, validating
-// framing, length, CRC and payload parse, and stops at the first record
-// that fails — everything before it is durable, everything after is the
-// torn tail a crash left behind (at most one in-flight record, because
-// appends are sequential and flushed per record). Scanning is always
-// side-effect-free (the file is opened read-only; a live, concurrently
-// appended journal can be scanned or tailed without perturbing a single
-// byte). Journal::open() runs that scan and — ONLY with Options::repair
-// set — truncates the file back to the last durable byte before
-// appending, so a recovered server continues the same log seamlessly.
-// Without repair, a torn tail refuses the append-open outright: physical
-// truncation is destructive exactly when the file is not ours to repair
-// (a follower pointed at the primary's LIVE journal would otherwise
-// destroy the primary's in-flight group commit), so the owner must say
-// so explicitly.
-// Mid-file rot is NOT a torn tail: when an intact record exists beyond
-// the damaged one, truncation would destroy durable data, so the scan
-// refuses the whole file (ok = false) exactly like an epoch gap.
+// Torn-write handling: scan_journal() runs the reader over the closed file;
+// everything before the first invalid record is durable, and the invalid
+// frontier is the torn tail a crash left behind (at most one in-flight
+// record, because appends are sequential). Note an inherent ambiguity no
+// checksum could remove: in the FINAL record a rotted byte and a torn write
+// look the same, so the durability granularity at the tail is one record.
+// Mid-file rot is NOT a torn tail: when an intact record exists beyond the
+// damaged one, truncation would destroy durable data, so the scan refuses
+// the whole file (ok = false) exactly like an epoch gap.
+//
+// Scanning is side-effect-free (read-only open), so a live journal can be
+// scanned or tailed without perturbing a byte. Journal::open() scans and —
+// ONLY with Options::repair set — truncates the file back to the last
+// durable byte before appending, so a recovered server continues the same
+// log seamlessly. Without repair a torn tail refuses the append-open:
+// truncation is destructive exactly when the file is not ours (a follower
+// pointed at the primary's LIVE journal would otherwise destroy the
+// primary's in-flight group commit), so the owner must say so explicitly.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "persist/journal_format.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "workload/generators.h"
 
 namespace pdmm::persist {
 
-struct JournalRecord {
-  uint64_t epoch = 0;
-  Batch batch;
-};
-
 // Result of scanning a journal file.
 struct JournalScan {
   bool ok = false;          // header readable and valid
   std::string error;        // why ok is false
-  std::vector<JournalRecord> records;  // the durable prefix (when retained)
   std::string stream;        // header fingerprint (empty: none recorded)
   size_t record_count = 0;   // durable records validated
   uint64_t last_epoch = 0;   // epoch of the last durable record (0: none)
@@ -76,35 +65,17 @@ struct JournalScan {
 };
 
 // Scans `path` (missing file: ok with zero records, so first-boot and
-// recovery share one call). Every record is always fully validated
-// (framing, CRC, payload parse, epoch order); retention is separate:
-// keep_records=false stores nothing (O(1) memory — Journal::open on a
-// long log only needs the durable frontier), and keep_after drops records
-// with epoch <= keep_after (recovery retains only the tail past its
-// checkpoint instead of the whole history). record_count / last_epoch
-// always describe the full durable prefix, retained or not.
-JournalScan scan_journal(const std::string& path, bool keep_records = true,
-                         uint64_t keep_after = 0);
-
-// Streaming variant: every durable record is handed to `sink` as it
-// validates, and nothing is retained — the scan runs in O(1 record)
-// memory however long the log is (recovery replays a journal-only restart
-// this way instead of materializing the whole history). The sink may
-// return false to abort, which fails the scan (ok = false) after the
-// records already delivered; record_count/last_epoch/valid_bytes then
-// describe the delivered prefix, not the durable one.
-//
-// `on_header`, when set, fires once after the header parses and before
-// any record is delivered, with the header's stream fingerprint (empty
-// when none is recorded); returning false aborts the scan before the
-// sink sees a single record — the hook recovery uses to refuse a
-// wrong-stream journal before mutating any state. It does not fire for
-// an empty/torn-header file (there is no header, and no records follow).
-using JournalRecordSink = std::function<bool(JournalRecord&&)>;
-using JournalHeaderHook = std::function<bool(const std::string& stream)>;
-JournalScan scan_journal_streamed(const std::string& path,
-                                  const JournalRecordSink& sink,
-                                  const JournalHeaderHook& on_header = {});
+// recovery share one call), validating every record (framing, CRC, payload
+// parse, epoch order) and handing each to `sink` as it validates — nothing
+// is retained, so the scan runs in O(1 record) memory however long the log
+// is. The sink may return false to abort, which fails the scan (ok = false)
+// after the records already delivered; record_count/last_epoch/valid_bytes
+// then describe the delivered prefix. A non-empty `expected_stream` refuses
+// a journal recorded under another fingerprint before any record reaches
+// the sink.
+JournalScan scan_journal(const std::string& path,
+                         const JournalRecordSink& sink = {},
+                         const std::string& expected_stream = "");
 
 // Append handle. Opening scans existing content, truncates a torn tail,
 // and positions at the end; a fresh/empty file gets the header.

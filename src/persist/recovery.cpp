@@ -139,7 +139,7 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
   }
 
   // 2. + 3. Journal tail replay, streamed: every durable record is
-  // validated and applied DURING the scan (scan_journal_streamed), so
+  // validated and applied DURING the scan (scan_journal's sink), so
   // recovery memory is O(1 record) regardless of log length — including
   // journal-only recovery, which replays the whole history. The price is
   // that a journal invalid beyond the tail (mid-file rot, epoch gap)
@@ -171,30 +171,14 @@ RecoveryReport recover(DynamicMatcher& m, const RecoveryOptions& opt) {
       ++rep.replayed_batches;
       return true;
     };
-    // Fingerprint checks run in the header hook, BEFORE a single record
-    // is replayed: a wrong-stream journal must be refused with the
-    // recovered checkpoint state untouched. Disagreement with the
-    // caller's stream or with the checkpoint's recorded one is operator
-    // error, not damage.
-    const JournalHeaderHook on_header = [&](const std::string& js) {
-      if (js.empty()) return true;  // nothing recorded: nothing to check
-      if (!opt.expected_stream.empty() && js != opt.expected_stream) {
-        sink_error = opt.journal_path + ": journal was recorded from a "
-                     "different update stream (journal: \"" + js +
-                     "\", this run: \"" + opt.expected_stream + "\")";
-        return false;
-      }
-      if (!ck.stream.empty() && js != ck.stream) {
-        sink_error = "checkpoint and journal record different update "
-                     "streams (checkpoint: \"" + ck.stream +
-                     "\", journal: \"" + js +
-                     "\"); not the same run's lineage";
-        return false;
-      }
-      return true;
-    };
-    const JournalScan scan =
-        scan_journal_streamed(opt.journal_path, sink, on_header);
+    // The fingerprint check runs on the header, BEFORE a single record is
+    // replayed: a wrong-stream journal is refused with the recovered
+    // checkpoint state untouched. The expectation is the caller's stream,
+    // else the checkpoint's (select_checkpoint already refused a checkpoint
+    // whose stream disagrees with the caller's).
+    const JournalScan scan = scan_journal(
+        opt.journal_path, sink,
+        opt.expected_stream.empty() ? ck.stream : opt.expected_stream);
     if (!scan.ok) {
       rep.error = sink_error.empty() ? scan.error : sink_error;
       return rep;

@@ -12,7 +12,7 @@
 //   3. Replay every record with epoch > checkpoint epoch through
 //      apply_journal_record(), which verifies the matcher's batch counter
 //      tracks the record epochs. Replay streams through the scan itself
-//      (scan_journal_streamed), so recovery memory stays O(1 record)
+//      (scan_journal's sink), so recovery memory stays O(1 record)
 //      even for a journal-only restart over a multi-GB log.
 //
 // The caller constructs the matcher with the Config the crashed process

@@ -1,38 +1,32 @@
 // JournalTailer: a read-only cursor over a LIVE, concurrently-appended
 // journal.
 //
-// The owning scan (persist::scan_journal) answers "what is durable in
-// this file right now" for a file nobody else is writing; a follower
-// needs the same answer for a file the primary is appending to UNDER the
-// read. Two things change:
+// It drives the journal's one reader (persist::JournalReader, the same one
+// recovery's scan_journal runs over a closed file) and differs from the
+// scan only in its frontier policy:
 //
 //   1. Nothing may be written. The tailer never opens the file for
 //      write, never truncates, never repairs — a follower that "fixed"
 //      the primary's in-flight record would destroy the primary's data.
 //
-//   2. An invalid record at the frontier is TRANSIENT until proven
-//      otherwise. On a dead file a failed validation is a crash tear; on
-//      a live file it is, almost always, a record the primary is midway
+//   2. A torn frontier is TRANSIENT until proven otherwise. On a live file
+//      an invalid record is, almost always, one the primary is midway
 //      through writing (stdio flushes are not atomic: a group commit's
 //      bytes can land in any prefix). The tailer reports kPending and the
-//      caller retries with backoff; only a positive rot proof turns the
-//      frontier error terminal.
+//      caller retries with backoff.
 //
-// Rot proof on a live file: the resync probe (an intact record BEYOND the
-// suspect bytes) is how the owning scan separates mid-file rot from a
-// tear, but live it can false-positive — between our failed read and the
-// probe, the primary may have completed the suspect record AND appended
-// the next. So a probe hit triggers a fresh re-read of the suspect
-// record: if it validates now, it simply completed (deliver it); only
-// still-invalid-with-intact-beyond is rot, which is sound because the
-// appender writes sequentially and never rewrites — record N's bytes are
-// all on file before record N+1's first byte.
+// Rot proof on a live file: the reader's "intact record beyond" verdict can
+// false-positive here — between the failed read and the probe, the primary
+// may have completed the suspect record AND appended the next. So a probe
+// hit triggers a fresh re-read from the same offset: if the record
+// validates now, it simply completed (deliver it); only a second torn
+// frontier at the same offset with an intact record beyond is rot, which is
+// sound because the appender writes sequentially and never rewrites —
+// record N's bytes are all on file before record N+1's first byte.
 //
-// Contracts enforced on every poll, not just at open: the header must be
-// this format's magic, the stream fingerprint (when expected) must match,
-// and epochs must advance by exactly 1 — a violation mid-tail (journal
-// swapped underneath, lineage fork) halts with kFailed rather than
-// feeding the follower a diverging stream.
+// The reader's refusals (foreign header, stream mismatch, epoch gap) are
+// terminal kFailed, as are a vanished or shrunken file — the journal was
+// swapped or truncated underneath the cursor.
 //
 // Durability watermark: durable_epoch() is the last record the tailer
 // fully validated. Under the journal's process-kill durability tier a
@@ -46,7 +40,7 @@
 #include <cstdint>
 #include <string>
 
-#include "persist/journal.h"
+#include "persist/journal_format.h"
 
 namespace pdmm::replicate {
 
@@ -64,8 +58,7 @@ class JournalTailer {
   struct Options {
     // Non-empty: a journal recorded under a different fingerprint fails
     // the poll (kFailed) before a single record is delivered. A journal
-    // with no recorded fingerprint is accepted (legacy tolerance, same
-    // rule as recovery).
+    // with no recorded fingerprint is accepted (legacy tolerance).
     std::string expected_stream;
   };
 
@@ -89,48 +82,33 @@ class JournalTailer {
 
   // Last epoch validated and delivered (0: none yet). This is the
   // follower's durable watermark — see the header comment.
-  uint64_t durable_epoch() const { return last_epoch_; }
+  uint64_t durable_epoch() const { return reader_.last_epoch(); }
   // Byte offset just past the last validated record (the cursor).
-  uint64_t offset() const { return offset_; }
+  uint64_t offset() const { return reader_.offset(); }
   // File size observed by the most recent poll (0 before the first).
   uint64_t file_size() const { return file_size_; }
   // file_size() - offset(): unvalidated bytes at the frontier. A torn
   // in-flight record counts, so nonzero does not mean "records waiting".
   uint64_t bytes_behind() const {
-    return file_size_ > offset_ ? file_size_ - offset_ : 0;
+    return file_size_ > offset() ? file_size_ - offset() : 0;
   }
-  uint64_t records_delivered() const { return records_; }
+  uint64_t records_delivered() const { return reader_.record_count(); }
   uint64_t polls() const { return poll_count_; }
   // Stream fingerprint from the journal header (empty until the header
   // has been read, or when none was recorded).
-  const std::string& stream() const { return stream_; }
+  const std::string& stream() const { return reader_.stream(); }
   // Terminal error after a kFailed poll (sticky: every later poll returns
   // kFailed with the same error).
   const std::string& error() const { return error_; }
   const std::string& path() const { return path_; }
 
  private:
-  enum class HeaderState : uint8_t { kNone, kMagicSeen, kDone };
-
   TailStatus fail(std::string why);
-  // Reads the magic (and, once resolvable, the optional stream line),
-  // advancing the cursor past them. Returns kRecord when the cursor is
-  // ready for records.
-  TailStatus poll_header(std::ifstream& in);
-  // 1-indexed line number of the journal line starting at `byte_offset`
-  // (counts '\n' up to it) — only computed on the failure path, where a
-  // human will read the message.
-  uint64_t line_number_at(uint64_t byte_offset) const;
 
   const std::string path_;
-  const Options opt_;
-  HeaderState header_ = HeaderState::kNone;
-  uint64_t offset_ = 0;
+  persist::JournalReader reader_;
   uint64_t file_size_ = 0;
-  uint64_t last_epoch_ = 0;
-  uint64_t records_ = 0;
   uint64_t poll_count_ = 0;
-  std::string stream_;
   std::string error_;
   bool failed_ = false;
 };

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/checker.h"
 #include "core/matcher.h"
+#include "journal_collect.h"
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
 #include "persist/recovery.h"
@@ -28,6 +30,7 @@ using persist::Journal;
 using persist::JournalScan;
 using persist::RecoveryOptions;
 using persist::RecoveryReport;
+using testing_util::Collect;
 
 Config persist_config() {
   Config cfg;
@@ -54,6 +57,13 @@ void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good());
+}
+
+// 1-based line number of the line starting at byte `offset`.
+uint64_t line_at(const std::string& bytes, size_t offset) {
+  return 1 + static_cast<uint64_t>(std::count(
+                 bytes.begin(),
+                 bytes.begin() + static_cast<std::ptrdiff_t>(offset), '\n'));
 }
 
 class PersistTest : public testing::Test {
@@ -256,14 +266,15 @@ TEST_F(PersistTest, JournalRoundTripsAndEnforcesEpochOrder) {
     EXPECT_FALSE(j->append(run.batches.size() + 5, run.batches[0], &err));
     EXPECT_FALSE(j->append(run.batches.size(), run.batches[0], &err));
   }
-  const JournalScan scan = persist::scan_journal(jpath);
+  Collect got;
+  const JournalScan scan = persist::scan_journal(jpath, got.sink());
   ASSERT_TRUE(scan.ok) << scan.error;
   EXPECT_FALSE(scan.truncated_tail);
-  ASSERT_EQ(scan.records.size(), run.batches.size());
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    EXPECT_EQ(scan.records[i].epoch, i + 1);
-    EXPECT_EQ(scan.records[i].batch.deletions, run.batches[i].deletions);
-    EXPECT_EQ(scan.records[i].batch.insertions, run.batches[i].insertions);
+  ASSERT_EQ(got.recs.size(), run.batches.size());
+  for (size_t i = 0; i < got.recs.size(); ++i) {
+    EXPECT_EQ(got.recs[i].epoch, i + 1);
+    EXPECT_EQ(got.recs[i].batch.deletions, run.batches[i].deletions);
+    EXPECT_EQ(got.recs[i].batch.insertions, run.batches[i].insertions);
   }
   // Reopen appends after the existing tail.
   auto j = Journal::open(jpath, {}, &err);
@@ -312,10 +323,11 @@ TEST_F(PersistTest, JournalGroupCommitIsByteIdenticalToPerBatchAppend) {
         << "group=" << group;
   }
   // The grouped journal replays like any other.
-  const JournalScan scan = persist::scan_journal(path("group_3"));
+  Collect got;
+  const JournalScan scan = persist::scan_journal(path("group_3"), got.sink());
   ASSERT_TRUE(scan.ok) << scan.error;
   EXPECT_FALSE(scan.truncated_tail);
-  ASSERT_EQ(scan.records.size(), run.batches.size());
+  ASSERT_EQ(got.recs.size(), run.batches.size());
 }
 
 TEST_F(PersistTest, JournalTornTailIsDroppedAtEveryCutOffset) {
@@ -335,32 +347,24 @@ TEST_F(PersistTest, JournalTornTailIsDroppedAtEveryCutOffset) {
 
   // Record boundaries, discovered by scanning successive prefixes.
   const JournalScan full = persist::scan_journal(jpath);
-  ASSERT_EQ(full.records.size(), run.batches.size());
+  ASSERT_EQ(full.record_count, run.batches.size());
   ASSERT_EQ(full.valid_bytes, bytes.size());
 
-  // Every offset through the header and first record boundary (offset 15
-  // = the header without its newline — a torn header write), then a
-  // stride through the rest.
-  for (size_t cut = 0; cut <= bytes.size(); cut += (cut < 40 ? 1 : 7)) {
+  // Every offset, the header's included: a cut inside the magic line is a
+  // torn header write (valid_bytes 0), never a refusal.
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
     const std::string cpath = path("cut");
     write_file(cpath, bytes.substr(0, cut));
-    const JournalScan scan = persist::scan_journal(cpath);
-    if (cut == 0) {
-      EXPECT_TRUE(scan.ok);  // empty file == fresh journal
-      continue;
-    }
-    if (!scan.ok) {
-      // A cut inside the header line: unrecognized, refused.
-      EXPECT_LT(cut, std::string("pdmm-journal v1\n").size());
-      continue;
-    }
+    Collect got;
+    const JournalScan scan = persist::scan_journal(cpath, got.sink());
+    ASSERT_TRUE(scan.ok) << "cut=" << cut << ": " << scan.error;
+    if (cut == 0) continue;  // empty file == fresh journal
     EXPECT_LE(scan.valid_bytes, cut);
     // Whatever survived must be a strict prefix of the real records.
-    ASSERT_LE(scan.records.size(), run.batches.size());
-    for (size_t i = 0; i < scan.records.size(); ++i) {
-      EXPECT_EQ(scan.records[i].epoch, i + 1);
-      EXPECT_EQ(scan.records[i].batch.insertions,
-                run.batches[i].insertions);
+    ASSERT_LE(got.recs.size(), run.batches.size());
+    for (size_t i = 0; i < got.recs.size(); ++i) {
+      EXPECT_EQ(got.recs[i].epoch, i + 1);
+      EXPECT_EQ(got.recs[i].batch.insertions, run.batches[i].insertions);
     }
     // A torn tail must be flagged unless the cut landed on a boundary.
     EXPECT_EQ(scan.truncated_tail, scan.valid_bytes != cut);
@@ -394,7 +398,7 @@ TEST_F(PersistTest, JournalTornTailIsDroppedAtEveryCutOffset) {
     const JournalScan rescan = persist::scan_journal(cpath);
     ASSERT_TRUE(rescan.ok) << rescan.error;
     EXPECT_FALSE(rescan.truncated_tail);
-    EXPECT_EQ(rescan.records.size(), static_cast<size_t>(resume) + 1);
+    EXPECT_EQ(rescan.record_count, static_cast<size_t>(resume) + 1);
   }
 }
 
@@ -402,6 +406,8 @@ TEST_F(PersistTest, JournalRefusesForeignFilesAndGaps) {
   std::string err;
   write_file(path("not_a_journal"), "something else entirely\nrec 1 2 3\n");
   EXPECT_EQ(Journal::open(path("not_a_journal"), {}, &err), nullptr);
+  EXPECT_NE(err.find(path("not_a_journal") + ":1:"), std::string::npos)
+      << err;
 
   // A journal whose durable records skip an epoch is refused whole (that
   // is data loss in the prefix, not a torn tail).
@@ -432,6 +438,12 @@ TEST_F(PersistTest, JournalRefusesForeignFilesAndGaps) {
   write_file(path("gap"), bytes);
   const JournalScan scan = persist::scan_journal(path("gap"));
   EXPECT_FALSE(scan.ok);
+  // The refusal names the gap record's path:line.
+  const std::string at =
+      path("gap") + ":" + std::to_string(line_at(bytes, rec2));
+  EXPECT_NE(scan.error.find(at), std::string::npos) << scan.error;
+  EXPECT_NE(scan.error.find("not contiguous"), std::string::npos)
+      << scan.error;
 }
 
 TEST_F(PersistTest, JournalRefusesMidFileRot) {
@@ -458,6 +470,10 @@ TEST_F(PersistTest, JournalRefusesMidFileRot) {
   const JournalScan scan = persist::scan_journal(path("rot"));
   EXPECT_FALSE(scan.ok);
   EXPECT_NE(scan.error.find("mid-file"), std::string::npos) << scan.error;
+  // The refusal names the rotted record's path:line.
+  const std::string at =
+      path("rot") + ":" + std::to_string(line_at(bytes, rec3));
+  EXPECT_NE(scan.error.find(at), std::string::npos) << scan.error;
   // And reopening for append must refuse too (no silent truncation).
   EXPECT_EQ(Journal::open(path("rot"), {}, &err), nullptr);
   // Length-field rot: an enlarged nbytes makes the payload read swallow
@@ -856,11 +872,11 @@ TEST_F(PersistTest, JournalRecordsStreamFingerprint) {
     j->appender_role().assert_held();  // single-threaded test driver
     ASSERT_TRUE(j->append(1, run.batches[0], &err)) << err;
   }
-  const JournalScan scan = persist::scan_journal(jpath);
+  Collect got;
+  const JournalScan scan = persist::scan_journal(jpath, got.sink());
   ASSERT_TRUE(scan.ok) << scan.error;
   EXPECT_EQ(scan.stream, fp.stream);
-  ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0].epoch, 1u);
+  EXPECT_EQ(got.epochs(), (std::vector<uint64_t>{1}));
 
   // Same fingerprint reopens and appends; no fingerprint skips the check
   // (legacy operation); a different fingerprint is refused — appending
@@ -916,10 +932,10 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
     }
   }
 
-  // The sink sees every durable record in order; nothing is materialized.
+  // The sink sees every durable record in order, under the expected
+  // stream; nothing is retained.
   std::vector<uint64_t> epochs;
-  std::string header_fp = "unset";
-  const JournalScan scan = persist::scan_journal_streamed(
+  const JournalScan scan = persist::scan_journal(
       jpath,
       [&](persist::JournalRecord&& rec) {
         epochs.push_back(rec.epoch);
@@ -927,20 +943,16 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
                   run.batches[rec.epoch - 1].insertions);
         return true;
       },
-      [&](const std::string& s) {
-        header_fp = s;
-        return true;
-      });
+      fp.stream);
   ASSERT_TRUE(scan.ok) << scan.error;
-  EXPECT_EQ(header_fp, fp.stream);
+  EXPECT_EQ(scan.stream, fp.stream);
   EXPECT_EQ(epochs, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
-  EXPECT_TRUE(scan.records.empty());
   EXPECT_EQ(scan.record_count, 5u);
   EXPECT_EQ(scan.last_epoch, 5u);
 
   // A sink abort fails the scan after the records already delivered.
   epochs.clear();
-  const JournalScan aborted = persist::scan_journal_streamed(
+  const JournalScan aborted = persist::scan_journal(
       jpath, [&](persist::JournalRecord&& rec) {
         epochs.push_back(rec.epoch);
         return rec.epoch < 3;
@@ -948,17 +960,14 @@ TEST_F(PersistTest, StreamedScanDeliversEachRecordOnce) {
   EXPECT_FALSE(aborted.ok);
   EXPECT_EQ(epochs, (std::vector<uint64_t>{1, 2, 3}));
 
-  // A header-hook rejection aborts before the sink sees a single record.
-  bool sink_called = false;
-  const JournalScan refused = persist::scan_journal_streamed(
-      jpath,
-      [&](persist::JournalRecord&&) {
-        sink_called = true;
-        return true;
-      },
-      [](const std::string&) { return false; });
+  // A stream mismatch aborts before the sink sees a single record.
+  Collect refused_got;
+  const JournalScan refused =
+      persist::scan_journal(jpath, refused_got.sink(), "another stream");
   EXPECT_FALSE(refused.ok);
-  EXPECT_FALSE(sink_called);
+  EXPECT_TRUE(refused_got.recs.empty());
+  EXPECT_NE(refused.error.find(jpath + ":2:"), std::string::npos)
+      << refused.error;
 }
 
 TEST_F(PersistTest, RecoveryEnforcesStreamFingerprints) {

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "core/matcher.h"
+#include "journal_collect.h"
 #include "engine/update_engine.h"
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
@@ -37,11 +38,12 @@ namespace {
 namespace fs = std::filesystem;
 using engine::UpdateEngine;
 using persist::Journal;
-using persist::JournalRecord;
+using persist::JournalScan;
 using replicate::JournalTailer;
 using replicate::ReplicaEngine;
 using replicate::ReplicaOptions;
 using replicate::TailStatus;
+using testing_util::Collect;
 
 Config replicate_config() {
   Config cfg;
@@ -184,17 +186,6 @@ SplitJournal split_journal(const std::string& bytes) {
   }
   return out;
 }
-
-// Sink that collects every delivered record.
-struct Collect {
-  std::vector<JournalRecord> recs;
-  persist::JournalRecordSink sink() {
-    return [this](JournalRecord&& r) {
-      recs.push_back(std::move(r));
-      return true;
-    };
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Backoff
@@ -446,6 +437,129 @@ TEST_F(ReplicateTest, EpochGapAndWrongStreamAndBadMagicFail) {
     EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kFailed);
     EXPECT_EQ(got.recs.size(), 0u);
   }
+}
+
+// The recovery scan and the live tailer drive one reader and differ only
+// in their frontier policy, so they must agree on every input: the same
+// delivered epochs, and scan clean <=> tailer idle, scan torn tail <=>
+// tailer pending, scan refusal <=> tailer failed. The inputs are every byte
+// prefix of a journal with a stream line plus the corruption set.
+TEST_F(ReplicateTest, ScanAndTailerAgreeOnEveryInput) {
+  ThreadPool pool(1);
+  const RefRun ref = drive_reference(replicate_config(), pool, 4);
+  const std::string bytes = write_journal(path("wal.log"), ref.batches);
+  const SplitJournal split = split_journal(bytes);
+  const std::string magic = bytes.substr(0, bytes.find('\n') + 1);
+  const std::string records = bytes.substr(split.boundaries[0]);
+  // Offset of record 2's length field.
+  const size_t len_at = bytes.find(' ', split.boundaries[1] + 4) + 1;
+
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    inputs.emplace_back("cut=" + std::to_string(cut), bytes.substr(0, cut));
+  }
+  std::string flipped = bytes;
+  flipped[bytes.find('\n', split.boundaries[1]) + 3] ^= 0x20;
+  inputs.emplace_back("mid-file payload flip", flipped);
+  std::string enlarged = bytes;
+  enlarged.replace(len_at, bytes.find(' ', len_at) - len_at, "999999");
+  inputs.emplace_back("enlarged length field", enlarged);
+  inputs.emplace_back("epoch gap",
+                      split.header + split.records[0] + split.records[2]);
+  inputs.emplace_back("bad magic", "not a journal\n" + split.records[0]);
+  inputs.emplace_back("wrong stream",
+                      magic + "stream some other stream\n" + records);
+  inputs.emplace_back("torn last record",
+                      bytes.substr(0, bytes.size() - 3));
+  inputs.emplace_back(
+      "torn record with an intact one beyond",
+      split.header + split.records[0] +
+          split.records[1].substr(0, split.records[1].size() / 2) +
+          split.records[2]);
+
+  for (const auto& [name, input] : inputs) {
+    const std::string cpath = path("input.log");
+    write_file(cpath, input);
+    Collect scanned;
+    const JournalScan scan =
+        persist::scan_journal(cpath, scanned.sink(), kStreamFp);
+
+    JournalTailer::Options topt;
+    topt.expected_stream = kStreamFp;
+    JournalTailer tailer(cpath, topt);
+    Collect tailed;
+    TailStatus st = tailer.poll(tailed.sink());
+    if (st == TailStatus::kRecord) st = tailer.poll(tailed.sink());
+
+    EXPECT_EQ(tailed.epochs(), scanned.epochs()) << name;
+    const TailStatus want = !scan.ok              ? TailStatus::kFailed
+                            : scan.truncated_tail ? TailStatus::kPending
+                                                  : TailStatus::kIdle;
+    EXPECT_EQ(st, want) << name << "\n  scan: " << scan.error
+                        << scan.tail_error << "\n  tail: " << tailer.error();
+    if (scan.ok) {
+      EXPECT_EQ(tailer.offset(), scan.valid_bytes) << name;
+    }
+  }
+}
+
+// A crash inside the header write leaves a prefix of the magic or of the
+// stream line. Both readers call that a torn header at byte 0: a repair-open
+// rewrites the whole header, fingerprint included, and a live tailer waits
+// for it instead of failing.
+TEST_F(ReplicateTest, TornHeaderIsRewrittenWithItsFingerprint) {
+  ThreadPool pool(1);
+  const RefRun ref = drive_reference(replicate_config(), pool, 1);
+  for (const std::string torn : {"pdmm-jo", "pdmm-journal v1\nstr"}) {
+    const std::string cpath = path("torn.log");
+    write_file(cpath, torn);
+    const JournalScan scan = persist::scan_journal(cpath);
+    ASSERT_TRUE(scan.ok) << torn << ": " << scan.error;
+    EXPECT_TRUE(scan.truncated_tail) << torn;
+    EXPECT_EQ(scan.valid_bytes, 0u) << torn;
+
+    JournalTailer::Options topt;
+    topt.expected_stream = kStreamFp;
+    JournalTailer tailer(cpath, topt);
+    Collect got;
+    EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kPending)
+        << torn << ": " << tailer.error();
+
+    Journal::Options jopt;
+    jopt.repair = true;
+    jopt.stream = kStreamFp;
+    std::string err;
+    auto j = Journal::open(cpath, jopt, &err);
+    ASSERT_NE(j, nullptr) << err;
+    j->appender_role().assert_held();  // single-threaded test driver
+    ASSERT_TRUE(j->append(1, ref.batches[0], &err)) << err;
+    j.reset();
+    const JournalScan rescan = persist::scan_journal(cpath);
+    ASSERT_TRUE(rescan.ok) << rescan.error;
+    EXPECT_FALSE(rescan.truncated_tail);
+    EXPECT_EQ(rescan.stream, kStreamFp) << torn;
+    EXPECT_EQ(rescan.record_count, 1u);
+    // The waiting tailer picks the rewritten journal up.
+    EXPECT_EQ(tailer.poll(got.sink()), TailStatus::kRecord) << tailer.error();
+    EXPECT_EQ(got.epochs(), (std::vector<uint64_t>{1}));
+  }
+  // A crash right after the magic line leaves a clean header with no
+  // fingerprint and no records: the repair-open rewrites it with one.
+  const std::string cpath = path("magic_only.log");
+  write_file(cpath, "pdmm-journal v1\n");
+  Journal::Options jopt;
+  jopt.repair = true;
+  jopt.stream = kStreamFp;
+  std::string err;
+  auto j = Journal::open(cpath, jopt, &err);
+  ASSERT_NE(j, nullptr) << err;
+  j->appender_role().assert_held();  // single-threaded test driver
+  ASSERT_TRUE(j->append(1, ref.batches[0], &err)) << err;
+  j.reset();
+  const JournalScan rescan = persist::scan_journal(cpath);
+  ASSERT_TRUE(rescan.ok) << rescan.error;
+  EXPECT_EQ(rescan.stream, kStreamFp);
+  EXPECT_EQ(rescan.record_count, 1u);
 }
 
 // A follower may start before the primary has created the journal: a
