@@ -9,7 +9,10 @@
 // points are flat-to-worse past the core count — hw_threads records the
 // machine's width so readers can tell real scaling from oversubscribed
 // counter-invariance evidence.
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_common.h"
 
@@ -24,9 +27,11 @@ void run(Ctx& ctx) {
                   : std::vector<uint64_t>{1024, 8192};
 
   for (const uint64_t batch : batch_sizes) {
-    uint64_t ref_work = 0, ref_rounds = 0;
+    // Counters of the 1-thread point, the reference every wider point must
+    // reproduce exactly (unset if that point failed).
+    std::optional<std::pair<uint64_t, uint64_t>> ref;
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      const auto sp = ctx.point(
+      ctx.point(
           {p("batch", batch), p("threads", static_cast<uint64_t>(threads))},
           [&, threads] {
             ThreadPool pool(threads, /*allow_oversubscribe=*/true);
@@ -44,6 +49,17 @@ void run(Ctx& ctx) {
             warm(m, stream, ctx.warm(3 * so.target_edges), batch);
             const DriveResult r = drive(m, stream, batches, batch);
             Sample s = to_sample(r);
+            if (threads == 1) {
+              ref.emplace(s.work, s.rounds);
+            } else if (ref && (s.work != ref->first ||
+                               s.rounds != ref->second)) {
+              // Fails this point (and the run's exit code) without
+              // aborting the other benchmarks' results.
+              return ctx.fail("work/rounds changed between 1 and " +
+                              std::to_string(threads) + " threads (batch=" +
+                              std::to_string(batch) +
+                              ") — determinism violated");
+            }
             // effective_threads records the worker count that actually
             // ran (the oversubscribing pool honors the request), and
             // hw_threads the machine's width; points past hw_threads are
@@ -62,21 +78,6 @@ void run(Ctx& ctx) {
                               std::thread::hardware_concurrency())}};
             return s;
           });
-      if (threads == 1) {
-        ref_work = sp.sample.work;
-        ref_rounds = sp.sample.rounds;
-      } else if (sp.sample.work != ref_work ||
-                 sp.sample.rounds != ref_rounds) {
-        // Don't abort the whole runner (other benchmarks' results and the
-        // JSON report must survive); flag loudly on stderr instead, like
-        // the registry's own cross-repetition check does.
-        ctx.note("ERROR: counters changed with thread count — determinism "
-                 "violated");
-        std::fprintf(stderr,
-                     "warning: threads: work/rounds changed between 1 and %u "
-                     "threads (batch=%llu) — determinism violated\n",
-                     threads, static_cast<unsigned long long>(batch));
-      }
     }
   }
 }

@@ -819,13 +819,13 @@ void DynamicMatcher::maybe_rebuild(size_t incoming_updates) {
 DynamicMatcher::BatchResult DynamicMatcher::update_by_endpoints(
     std::span<const std::vector<Vertex>> deletions,
     std::span<const std::vector<Vertex>> insertions) {
-  std::vector<EdgeId> dels;
-  dels.reserve(deletions.size());
-  for (const auto& eps : deletions) {
-    const EdgeId e = reg_.find(eps);
-    PDMM_ASSERT_MSG(e != kNoEdge, "deletion of an absent edge (by endpoints)");
-    dels.push_back(e);
-  }
+  // Lookups are read-only on the registry, so they resolve in parallel.
+  std::vector<EdgeId> dels(deletions.size());
+  parallel_for(pool_, deletions.size(), [&](size_t i) {
+    dels[i] = reg_.find(deletions[i]);
+    PDMM_ASSERT_MSG(dels[i] != kNoEdge,
+                    "deletion of an absent edge (by endpoints)");
+  });
   std::sort(dels.begin(), dels.end());
   return update(dels, insertions);
 }

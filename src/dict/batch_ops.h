@@ -26,6 +26,24 @@
 
 namespace pdmm {
 
+namespace detail {
+
+// Runs apply(g) for every group g in [0, groups), one task per group —
+// or inline when the groups hold at most kDefaultGrain records in all: a
+// group is often a record or two (and many buckets are empty), so a small
+// apply is cheaper run in place than spread over the pool. The cutoff
+// depends on the record count only, never on the thread count.
+template <typename F>
+void apply_groups(ThreadPool& pool, size_t groups, size_t records, F&& apply) {
+  if (records <= kDefaultGrain) {
+    for (size_t g = 0; g < groups; ++g) apply(g);
+  } else {
+    parallel_for(pool, groups, apply, /*grain=*/1);
+  }
+}
+
+}  // namespace detail
+
 // Scratch for the grouped-apply helpers (merge buffer + group offsets) so
 // hot callers can run allocation-free.
 template <typename Rec>
@@ -36,8 +54,9 @@ struct GroupScratch {
 
 // Sorts `records` by key(record) (a uint64 that must be UNIQUE per record),
 // then calls apply(group, span_begin, span_end) once per distinct
-// group(key), groups in parallel. Because keys are unique, the applied
-// order within each group is the ascending-key order — fully deterministic.
+// group(key), groups in parallel (inline when there are at most
+// kDefaultGrain records). Because keys are unique, the applied order
+// within each group is the ascending-key order — fully deterministic.
 template <typename Rec, typename KeyFn, typename GroupFn, typename ApplyFn>
 void apply_grouped_unique(ThreadPool& pool, std::vector<Rec>& records,
                           KeyFn&& key, GroupFn&& group, ApplyFn&& apply,
@@ -50,13 +69,10 @@ void apply_grouped_unique(ThreadPool& pool, std::vector<Rec>& records,
       records, [&](const Rec& r) { return group(key(r)); }, scratch.starts);
   const std::vector<size_t>& starts = scratch.starts;
   const size_t groups = starts.size() - 1;
-  parallel_for(
-      pool, groups,
-      [&](size_t g) {
-        apply(group(key(records[starts[g]])), records.data() + starts[g],
-              records.data() + starts[g + 1]);
-      },
-      /*grain=*/1);
+  detail::apply_groups(pool, groups, records.size(), [&](size_t g) {
+    apply(group(key(records[starts[g]])), records.data() + starts[g],
+          records.data() + starts[g + 1]);
+  });
   if (cost) {
     cost->round(records.size());  // sort counts as one logical round here;
     cost->round(groups);          // apply is the second round.
@@ -90,7 +106,8 @@ struct DenseBucketScratch {
 // order — is identical across thread counts.
 //
 // `bucket(rec)` must return a value < num_buckets. apply(bucket, begin,
-// end) runs once per non-empty bucket, buckets in parallel.
+// end) runs once per non-empty bucket, buckets in parallel (inline when
+// there are at most kDefaultGrain records).
 template <typename Rec, typename BucketFn, typename ApplyFn>
 void apply_bucketed_dense(ThreadPool& pool, std::vector<Rec>& records,
                           size_t num_buckets, BucketFn&& bucket,
@@ -131,14 +148,11 @@ void apply_bucketed_dense(ThreadPool& pool, std::vector<Rec>& records,
   for (size_t d = 0; d < num_buckets; ++d) {
     nonempty += scratch.bucket_starts[d + 1] > scratch.bucket_starts[d];
   }
-  parallel_for(
-      pool, num_buckets,
-      [&](size_t d) {
-        const size_t b = scratch.bucket_starts[d];
-        const size_t e = scratch.bucket_starts[d + 1];
-        if (b != e) apply(d, scratch.out.data() + b, scratch.out.data() + e);
-      },
-      /*grain=*/1);
+  detail::apply_groups(pool, num_buckets, n, [&](size_t d) {
+    const size_t b = scratch.bucket_starts[d];
+    const size_t e = scratch.bucket_starts[d + 1];
+    if (b != e) apply(d, scratch.out.data() + b, scratch.out.data() + e);
+  });
   if (cost) {
     cost->round(n);         // histogram + scan + scatter: streaming passes
     cost->round(nonempty);  // per-bucket apply is the second round

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "parallel/cost_model.h"
 #include "parallel/thread_pool.h"
@@ -31,10 +30,10 @@ template <typename F>
 void parallel_for(ThreadPool& pool, size_t n, F&& f,
                   size_t grain = kAutoGrain) {
   if (n == 0) return;
-  const std::function<void(size_t, size_t)> body = [&f](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) f(i);
-  };
-  pool.run_blocked(n, resolve_grain(n, grain, kDefaultGrain), body);
+  pool.run_blocked(n, resolve_grain(n, grain, kDefaultGrain),
+                   [&f](size_t b, size_t e) {
+                     for (size_t i = b; i < e; ++i) f(i);
+                   });
 }
 
 // Applies f(begin, end) over chunks of [0, n); useful when the body wants to
@@ -43,9 +42,7 @@ template <typename F>
 void parallel_for_blocked(ThreadPool& pool, size_t n, F&& f,
                           size_t grain = kAutoGrain) {
   if (n == 0) return;
-  const std::function<void(size_t, size_t)> body =
-      [&f](size_t b, size_t e) { f(b, e); };
-  pool.run_blocked(n, resolve_grain(n, grain, kDefaultGrain), body);
+  pool.run_blocked(n, resolve_grain(n, grain, kDefaultGrain), f);
 }
 
 // Applies f(block, begin, end) over the aligned blocks [k*grain,
@@ -62,13 +59,11 @@ size_t parallel_for_blocks(ThreadPool& pool, size_t n, size_t grain, F&& f) {
   // Parallel chunks from the pool are exactly one grain-aligned block; the
   // pool's serial fallback hands one [0, n) span, which the wrapper cuts
   // back into aligned blocks so the callback's contract holds either way.
-  const std::function<void(size_t, size_t)> body = [&f, g](size_t b,
-                                                           size_t e) {
+  pool.run_blocked(n, g, [&f, g](size_t b, size_t e) {
     for (size_t lo = b; lo < e; lo += g) {
       f(lo / g, lo, lo + g < e ? lo + g : e);
     }
-  };
-  pool.run_blocked(n, g, body);
+  });
   return g;
 }
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "parallel/parallel_for.h"

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <thread>
 
@@ -237,6 +239,122 @@ TEST(ThreadPool, LargeRegionsCompleteWithManyThreads) {
     std::vector<std::atomic<uint8_t>> hit(n);
     parallel_for(pool, n, [&](size_t i) { hit[i].fetch_add(1); }, 64);
     for (size_t i = 0; i < n; ++i) ASSERT_EQ(hit[i].load(), 1u) << i;
+  }
+}
+
+// Batched claims: with far more chunks than threads, one claim takes a run
+// of chunks, but every body call must still be exactly one aligned chunk
+// and every chunk must run once. Covers grain 1, a grain that does not
+// divide n, and a std::function lvalue body (a supported caller form).
+// (A 1-thread pool takes the serial path: one body(0, n) call.)
+TEST(ThreadPool, BatchedClaimsRunEachAlignedChunkOnce) {
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    ThreadPool pool(threads, /*allow_oversubscribe=*/true);
+    for (const size_t grain : {size_t{1}, size_t{7}}) {
+      for (const size_t n : {size_t{5000}, size_t{10007}, size_t{65537}}) {
+        SCOPED_TRACE(testing_util::name_cat("threads ", threads, " grain ",
+                                            grain, " n ", n));
+        const size_t chunks = (n + grain - 1) / grain;
+        std::vector<std::atomic<uint32_t>> hits(chunks);
+        std::atomic<bool> misaligned{false};
+        const std::function<void(size_t, size_t)> body = [&](size_t b,
+                                                             size_t e) {
+          if (b % grain != 0 || e != std::min(b + grain, n)) {
+            misaligned.store(true);
+            return;
+          }
+          hits[b / grain].fetch_add(1);
+        };
+        pool.run_blocked(n, grain, body);
+        EXPECT_FALSE(misaligned.load());
+        for (size_t k = 0; k < chunks; ++k) {
+          ASSERT_EQ(hits[k].load(), 1u) << k;
+        }
+      }
+    }
+  }
+}
+
+// Regions separated by idle gaps, so every worker has parked and each
+// parallel region must wake them through the parked count. Every fourth region needs all pool
+// threads at once (each chunk waits until as many threads have entered as
+// the pool has), so a parked worker that is never woken shows up as a
+// timeout, not a hang. Serial-cutoff regions (n <= grain, small grouped
+// applies) are mixed in.
+TEST(ThreadPool, RegionsAfterIdleGapsWakeParkedWorkers) {
+  ThreadPool pool(4, /*allow_oversubscribe=*/true);
+  const size_t threads = pool.num_threads();
+  GroupScratch<uint64_t> scratch;
+  for (int it = 0; it < 40; ++it) {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    if (it % 4 == 0 && threads > 1) {
+      std::atomic<size_t> arrived{0};
+      std::atomic<bool> timed_out{false};
+      pool.run_blocked(threads, 1, [&](size_t, size_t) {
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (arrived.load() < threads) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            timed_out.store(true);
+            return;
+          }
+          std::this_thread::yield();
+        }
+      });
+      ASSERT_FALSE(timed_out.load()) << "a parked worker was not woken";
+    } else if (it % 4 == 1) {
+      std::atomic<size_t> sum{0};
+      parallel_for(pool, 100000, [&](size_t i) { sum.fetch_add(i); }, 512);
+      ASSERT_EQ(sum.load(), size_t{100000} * 99999 / 2);
+    } else if (it % 4 == 2) {
+      size_t calls = 0;  // serial path: one inline call, no claim
+      pool.run_blocked(100, 100, [&](size_t b, size_t e) {
+        ++calls;
+        EXPECT_EQ(b, 0u);
+        EXPECT_EQ(e, 100u);
+      });
+      ASSERT_EQ(calls, 1u);
+    } else {
+      std::vector<uint64_t> recs(500);
+      for (size_t i = 0; i < recs.size(); ++i) recs[i] = (i % 13) << 32 | i;
+      size_t applied = 0;  // below the cutoff: applied inline, serially
+      apply_grouped_unique(
+          pool, recs, [](uint64_t r) { return r; },
+          [](uint64_t k) { return k >> 32; },
+          [&](uint64_t, const uint64_t* b, const uint64_t* e) {
+            applied += static_cast<size_t>(e - b);
+          },
+          scratch);
+      ASSERT_EQ(applied, recs.size());
+    }
+  }
+}
+
+// Destroying a pool right after a region, while its workers are still on
+// their way back to park, must join cleanly (and so must a pool that never
+// ran a region).
+TEST(ThreadPool, DestroyRightAfterRegions) {
+  for (int it = 0; it < 50; ++it) {
+    ThreadPool pool(4, /*allow_oversubscribe=*/true);
+    if (it % 5 == 0) continue;
+    std::atomic<size_t> c{0};
+    parallel_for(pool, 64, [&](size_t) { c.fetch_add(1); }, 1);
+    ASSERT_EQ(c.load(), 64u);
+  }
+}
+
+// An oversubscribed pool (twice the hardware's threads, so workers are
+// often preempted mid-region) finishes a long loop of small regions.
+TEST(ThreadPool, OversubscribedPoolFinishesManySmallRegions) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool(2 * hw, /*allow_oversubscribe=*/true);
+  ASSERT_EQ(pool.num_threads(), 2 * hw);
+  for (int it = 0; it < 3000; ++it) {
+    std::atomic<size_t> c{0};
+    const size_t n = 1 + static_cast<size_t>(it % 97);
+    parallel_for(pool, n, [&](size_t) { c.fetch_add(1); }, 1);
+    ASSERT_EQ(c.load(), n);
   }
 }
 
