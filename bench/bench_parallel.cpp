@@ -1,6 +1,8 @@
 // E12: runtime primitive micro-benchmarks: parallel_for, scan, pack, sort
-// throughput across thread counts. (Formerly a Google Benchmark suite; now
+// (random u64 keys and the matcher's record shape) throughput across
+// thread counts. (Formerly a Google Benchmark suite; now
 // registry-timed loops so the points land in BENCH_pdmm.json.)
+#include <algorithm>
 #include <numeric>
 
 #include "registry.h"
@@ -92,14 +94,48 @@ void run(Ctx& ctx) {
                 Xoshiro256 rng(3);
                 std::vector<uint64_t> base(sn);
                 for (auto& x : base) x = rng();
+                std::vector<uint64_t> buf;
                 double secs = 0;
                 for (size_t it = 0; it < iters; ++it) {
                   std::vector<uint64_t> v = base;  // copy excluded from timing
                   Timer t;
-                  parallel_sort(pool, v);
+                  parallel_sort_by_key(pool, v, buf);
                   secs += t.seconds();
                 }
                 return make_sample(secs, sn * iters);
+              });
+
+    // The shape the matcher's grouped applies sort: ~8.8k 12-byte
+    // (u, e, level) records keyed (u << 32) | e, u < 2^16, e < 2^18 — one
+    // bulk_churn batch's structural records.
+    ctx.point({p("primitive", "sort_records"),
+               p("threads", static_cast<uint64_t>(threads))},
+              [&, threads] {
+                struct Rec {
+                  uint32_t u, e;
+                  int32_t lvl;
+                };
+                ThreadPool pool(threads);
+                const size_t rn = 8800;
+                const size_t sorts = iters * std::max<size_t>(1, n >> 13);
+                Xoshiro256 rng(5);
+                std::vector<Rec> base(rn);
+                for (size_t i = 0; i < rn; ++i) {
+                  base[i] = {static_cast<uint32_t>(rng.below(1u << 16)),
+                             static_cast<uint32_t>(i * 29 % (1u << 18)),
+                             static_cast<int32_t>(rng.below(16))};
+                }
+                std::vector<Rec> buf;
+                double secs = 0;
+                for (size_t it = 0; it < sorts; ++it) {
+                  std::vector<Rec> v = base;  // copy excluded from timing
+                  Timer t;
+                  parallel_sort_by_key(pool, v, buf, [](const Rec& r) {
+                    return (static_cast<uint64_t>(r.u) << 32) | r.e;
+                  });
+                  secs += t.seconds();
+                }
+                return make_sample(secs, rn * sorts);
               });
   }
   ctx.note("expectation: ns_per_item falls with threads until memory "

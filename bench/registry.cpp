@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <numeric>
 #include <regex>
 #include <sstream>
 #include <thread>
@@ -520,7 +521,9 @@ SweepPoint Ctx::point(Params params, const std::function<Sample()>& body) {
   SweepPoint sp;
   sp.params = std::move(params);
   sp.reps = opt_.reps;
+  std::vector<Sample> samples;
   std::vector<double> secs;
+  samples.reserve(opt_.reps);
   secs.reserve(opt_.reps);
   bool deterministic = true;
   for (size_t rep = 0; rep < opt_.reps; ++rep) {
@@ -531,12 +534,21 @@ SweepPoint Ctx::point(Params params, const std::function<Sample()>& body) {
     }
     secs.push_back(s.seconds);
     if (rep > 0 &&
-        (s.work != sp.sample.work || s.rounds != sp.sample.rounds ||
-         s.updates != sp.sample.updates)) {
+        (s.work != samples[0].work || s.rounds != samples[0].rounds ||
+         s.updates != samples[0].updates)) {
       deterministic = false;
     }
-    sp.sample = std::move(s);
+    samples.push_back(std::move(s));
   }
+  // Timed metrics (us_per_batch, ns_per_item, ...) come from the median-
+  // seconds repetition (the lower middle one for an even count), so one
+  // noisy repetition cannot set them; counters are identical across reps.
+  std::vector<size_t> order(samples.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return samples[a].seconds < samples[b].seconds;
+  });
+  sp.sample = std::move(samples[order[(order.size() - 1) / 2]]);
   const MinMedMax t = min_med_max(std::move(secs));
   sp.seconds_median = t.median;
   sp.seconds_min = t.min;

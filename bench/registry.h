@@ -51,11 +51,12 @@ struct Sample {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-// Aggregated result of one sweep point: counters from the last repetition
-// plus the wall-clock distribution over all repetitions.
+// Aggregated result of one sweep point: counters and metrics from the
+// median-seconds repetition plus the wall-clock distribution over all
+// repetitions.
 struct SweepPoint {
   std::vector<std::pair<std::string, std::string>> params;  // sweep axes
-  Sample sample;             // counters/metrics (identical across reps)
+  Sample sample;  // median-seconds rep (counters identical across reps)
   size_t reps = 0;
   double seconds_median = 0.0;
   double seconds_min = 0.0;

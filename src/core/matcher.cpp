@@ -345,8 +345,8 @@ void DynamicMatcher::remove_edges_from_structures(
 
 void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
   if (moves.empty()) return;
-  std::sort(moves.begin(), moves.end(),
-            [](const LevelMove& a, const LevelMove& b) { return a.v < b.v; });
+  parallel_sort_by_key(pool_, moves, scratch_.moves_sort_buf,
+                       [](const LevelMove& m) { return m.v; });
   for (size_t i = 1; i < moves.size(); ++i)
     PDMM_ASSERT_MSG(moves[i].v != moves[i - 1].v,
                     "duplicate vertex in level-move batch");
@@ -383,7 +383,7 @@ void DynamicMatcher::apply_level_moves(std::vector<LevelMove>& moves) {
 
   for (const LevelMove& mv : moves) vhot_.set_level(mv.v, mv.to);
 
-  parallel_sort_with(pool_, affected, scratch_.sort_buf);
+  parallel_sort_by_key(pool_, affected, scratch_.sort_buf);
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
 
@@ -826,7 +826,6 @@ DynamicMatcher::BatchResult DynamicMatcher::update_by_endpoints(
     PDMM_ASSERT_MSG(dels[i] != kNoEdge,
                     "deletion of an absent edge (by endpoints)");
   });
-  std::sort(dels.begin(), dels.end());
   return update(dels, insertions);
 }
 
@@ -852,7 +851,7 @@ DynamicMatcher::BatchResult DynamicMatcher::update(
 
   // --- classify deletions ---
   std::vector<EdgeId> dels(deletions.begin(), deletions.end());
-  std::sort(dels.begin(), dels.end());
+  parallel_sort_by_key(pool_, dels, scratch_.sort_buf);
   dels.erase(std::unique(dels.begin(), dels.end()), dels.end());
   std::vector<EdgeId> del_unmatched, del_temp, del_matched;
   for (EdgeId e : dels) {

@@ -362,6 +362,7 @@ class DynamicMatcher {
     // process_level_step1 / phase_insert
     std::vector<EdgeId> candidates, free_edges;
     std::vector<LevelMove> moves;
+    std::vector<LevelMove> moves_sort_buf;  // apply_level_moves' sort
     // settle machinery (grand_random_settle / subsubsettle)
     std::vector<Vertex> settle_b, settle_kept;
     std::vector<EdgeId> settle_eprime, settle_marked, settle_lifted;
@@ -370,7 +371,7 @@ class DynamicMatcher {
     std::vector<EdgeId> adopted;  // E' edges temp-deleted this iteration
     // shared pack flag buffer (single pack in flight at a time)
     std::vector<uint8_t> pack_flags;
-    // parallel_sort merge buffers for id/vertex sorts
+    // radix-sort ping-pong buffer for id/vertex sorts
     std::vector<uint32_t> sort_buf;
   };
 

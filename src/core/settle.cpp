@@ -121,7 +121,7 @@ void DynamicMatcher::grand_random_settle(Level l) {
       PDMM_DASSERT(vhot_.level(v) < l);
       append_o_tilde(v, l, e_prime);
     }
-    parallel_sort_with(pool_, e_prime, scratch_.sort_buf);
+    parallel_sort_by_key(pool_, e_prime, scratch_.sort_buf);
     e_prime.erase(std::unique(e_prime.begin(), e_prime.end()),
                   e_prime.end());
     cost_.round(b.size() + e_prime.size());

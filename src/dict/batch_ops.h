@@ -20,9 +20,9 @@
 
 #include "parallel/cost_model.h"
 #include "parallel/parallel_for.h"
-#include "parallel/scan.h"
 #include "parallel/sort.h"
 #include "parallel/thread_pool.h"
+#include "util/assert.h"
 
 namespace pdmm {
 
@@ -44,8 +44,8 @@ void apply_groups(ThreadPool& pool, size_t groups, size_t records, F&& apply) {
 
 }  // namespace detail
 
-// Scratch for the grouped-apply helpers (merge buffer + group offsets) so
-// hot callers can run allocation-free.
+// Scratch for the grouped-apply helpers (sort ping-pong buffer + group
+// offsets) so hot callers can run allocation-free.
 template <typename Rec>
 struct GroupScratch {
   std::vector<Rec> sort_buf;
@@ -63,8 +63,10 @@ void apply_grouped_unique(ThreadPool& pool, std::vector<Rec>& records,
                           GroupScratch<Rec>& scratch,
                           CostCounters* cost = nullptr) {
   if (records.empty()) return;
-  parallel_sort_with(pool, records, scratch.sort_buf,
-                     [&](const Rec& a, const Rec& b) { return key(a) < key(b); });
+  parallel_sort_by_key(pool, records, scratch.sort_buf, key);
+  for (size_t i = 1; i < records.size(); ++i) {
+    PDMM_DASSERT(key(records[i - 1]) < key(records[i]));
+  }
   group_boundaries_into(
       records, [&](const Rec& r) { return group(key(r)); }, scratch.starts);
   const std::vector<size_t>& starts = scratch.starts;
@@ -79,31 +81,26 @@ void apply_grouped_unique(ThreadPool& pool, std::vector<Rec>& records,
   }
 }
 
-// Scratch for apply_bucketed_dense (bucket-ordered record copy, blocked
-// histogram, scan output, per-bucket boundaries).
+// Scratch for apply_bucketed_dense (bucket-ordered record copy, scatter
+// cursors, per-bucket boundaries).
 template <typename Rec>
 struct DenseBucketScratch {
   std::vector<Rec> out;
-  std::vector<size_t> counts;
-  std::vector<size_t> offsets;
+  ScatterScratch scatter;
   std::vector<size_t> bucket_starts;
 };
 
-// Prefix-sum bucketed apply for DENSE group keys. When the group key is a
-// small integer (e.g. a level: num_buckets <= L+1), the comparison sort in
-// apply_grouped_unique is overkill — a blocked (bucket, block) histogram,
-// one exclusive prefix sum (scan.h), and a stable per-block scatter place
-// every record in O(n) work and O(1) sort depth.
+// Bucketed apply for DENSE group keys. When the group key is a small
+// integer (e.g. a level: num_buckets <= L+1), one stable counting scatter
+// (sort.h) places every record in O(n) work and O(1) sort depth — the
+// single-digit case of the radix sort apply_grouped_unique runs.
 //
-// Stability: the histogram is bucket-major over grain-aligned blocks, so
-// within one bucket records land in (block asc, in-block asc) = original
-// generation order. A caller whose records are generated in ascending
-// secondary order therefore gets exactly the in-group order that
-// apply_grouped_unique would produce with (bucket << 32 | secondary) keys —
-// which is how refresh_s_membership_all swaps one for the other without
-// changing a single applied order. The grain depends only on n
-// (cost_model.h contract), so the scatter layout — and with it the applied
-// order — is identical across thread counts.
+// Stability: within one bucket records keep their generation order. A
+// caller whose records are generated in ascending secondary order
+// therefore gets exactly the in-group order that apply_grouped_unique
+// would produce with (bucket << 32 | secondary) keys — which is how
+// refresh_s_membership_all swaps one for the other without changing a
+// single applied order.
 //
 // `bucket(rec)` must return a value < num_buckets. apply(bucket, begin,
 // end) runs once per non-empty bucket, buckets in parallel (inline when
@@ -115,34 +112,9 @@ void apply_bucketed_dense(ThreadPool& pool, std::vector<Rec>& records,
                           CostCounters* cost = nullptr) {
   if (records.empty() || num_buckets == 0) return;
   const size_t n = records.size();
-  const size_t g = resolve_grain(n, kAutoGrain, kDefaultGrain);
-  const size_t num_blocks = (n + g - 1) / g;
-
-  scratch.counts.assign(num_buckets * num_blocks, 0);
-  parallel_for_blocks(pool, n, g, [&](size_t blk, size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      ++scratch.counts[bucket(records[i]) * num_blocks + blk];
-    }
-  });
-
-  scan_exclusive(pool, scratch.counts, scratch.offsets);
-
-  scratch.bucket_starts.resize(num_buckets + 1);
-  for (size_t d = 0; d < num_buckets; ++d) {
-    scratch.bucket_starts[d] = scratch.offsets[d * num_blocks];
-  }
-  scratch.bucket_starts[num_buckets] = n;
-
-  // Stable scatter: slot (d, blk) of offsets is advanced only by block
-  // blk's task, so the cursors are exclusively owned (EREW) and the copy
-  // needs no atomics.
   scratch.out.resize(n);
-  parallel_for_blocks(pool, n, g, [&](size_t blk, size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const size_t d = bucket(records[i]);
-      scratch.out[scratch.offsets[d * num_blocks + blk]++] = records[i];
-    }
-  });
+  counting_scatter(pool, records.data(), scratch.out.data(), n, num_buckets,
+                   bucket, scratch.scatter, &scratch.bucket_starts);
 
   size_t nonempty = 0;
   for (size_t d = 0; d < num_buckets; ++d) {

@@ -24,10 +24,11 @@ namespace pdmm {
 // count keeps the atomic-cursor traffic of huge regions bounded.
 //
 // Determinism contract: the grain is a function of n (and the per-primitive
-// min_grain) ONLY — never of the thread count. Several consumers feed
-// chunk-structured results into order-sensitive state (the blocked sort's
-// tie order, the grouped-apply record order), so a thread-dependent grain
-// would make matcher state diverge across thread counts.
+// min_grain) ONLY — never of the thread count. A chunk-structured result
+// (the combine tree of a parallel_reduce under a non-associative op such
+// as a floating-point sum) would otherwise differ across thread counts.
+// The sort and the grouped applies no longer depend on it: a stable sort
+// has one correct output whatever its blocking.
 inline constexpr size_t kMaxChunksPerRegion = 64;
 
 inline constexpr size_t auto_grain(size_t n, size_t min_grain) {

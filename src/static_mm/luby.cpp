@@ -40,7 +40,8 @@ StaticMMResult static_maximal_matching(ThreadPool& pool,
     auto eps = reg.endpoints(e);
     verts.insert(verts.end(), eps.begin(), eps.end());
   }
-  parallel_sort(pool, verts);
+  std::vector<Vertex> sort_buf;
+  parallel_sort_by_key(pool, verts, sort_buf);
   verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
   if (cost) cost->round(m0 * r);
 

@@ -75,19 +75,150 @@ TEST_P(ParallelAcrossThreads, SortMatchesStdSort) {
   std::vector<uint64_t> v(200000);
   for (auto& x : v) x = rng();
   std::vector<uint64_t> ref = v;
-  parallel_sort(pool, v, std::less<>{}, 1 << 10);
+  std::vector<uint64_t> buf;
+  parallel_sort_by_key(pool, v, buf);
   std::sort(ref.begin(), ref.end());
   EXPECT_EQ(v, ref);
 }
 
 TEST_P(ParallelAcrossThreads, SortTinyAndEmpty) {
   ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  std::vector<uint64_t> buf;
   std::vector<uint64_t> empty;
-  parallel_sort(pool, empty);
+  parallel_sort_by_key(pool, empty, buf);
   EXPECT_TRUE(empty.empty());
   std::vector<uint64_t> one{42};
-  parallel_sort(pool, one);
+  parallel_sort_by_key(pool, one, buf);
   EXPECT_EQ(one[0], 42u);
+}
+
+// Sizes on both sides of the small-input and parallel-pass cutoffs; the
+// largest runs the blocked parallel passes (also under the tsan preset).
+std::vector<size_t> sort_sizes() {
+  return {0,
+          1,
+          2,
+          kSortSmallCutoff - 1,
+          kSortSmallCutoff,
+          kSortSmallCutoff + 1,
+          5000,
+          kSortParallelCutoff - 1,
+          kSortParallelCutoff,
+          kSortParallelCutoff + kDefaultGrain + 17};
+}
+
+// The 12-byte (vertex, edge, level) shape the matcher's grouped applies
+// sort, keyed (u << 32) | e.
+struct SortRec {
+  uint32_t u;
+  uint32_t e;
+  int32_t lvl;
+  uint64_t key() const { return (static_cast<uint64_t>(u) << 32) | e; }
+  bool operator==(const SortRec&) const = default;
+};
+
+TEST_P(ParallelAcrossThreads, SortByKeyUniqueRecordsMatchesStdSort) {
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  Xoshiro256 rng(21);
+  std::vector<SortRec> buf;
+  for (size_t n : sort_sizes()) {
+    std::vector<SortRec> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Distinct edge ids make every key unique; u < 2^16, e < 2^18.
+      v[i] = {static_cast<uint32_t>(rng.below(1u << 16)),
+              static_cast<uint32_t>((i * 40503u) % (1u << 18)),
+              static_cast<int32_t>(rng.below(20))};
+    }
+    std::vector<SortRec> ref = v;
+    std::sort(ref.begin(), ref.end(), [](const SortRec& a, const SortRec& b) {
+      return a.key() < b.key();
+    });
+    parallel_sort_by_key(pool, v, buf, [](const SortRec& r) { return r.key(); });
+    ASSERT_EQ(v, ref) << "n=" << n;
+  }
+}
+
+TEST_P(ParallelAcrossThreads, SortByKeyIntegersWithDuplicates) {
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  Xoshiro256 rng(22);
+  std::vector<uint32_t> buf;
+  for (size_t n : sort_sizes()) {
+    for (uint64_t range : {uint64_t{7}, uint64_t{1000}, uint64_t{1} << 32}) {
+      std::vector<uint32_t> v(n);
+      for (auto& x : v) x = static_cast<uint32_t>(rng.below(range));
+      std::vector<uint32_t> ref = v;
+      std::sort(ref.begin(), ref.end());
+      parallel_sort_by_key(pool, v, buf);
+      ASSERT_EQ(v, ref) << "n=" << n << " range=" << range;
+    }
+  }
+}
+
+TEST_P(ParallelAcrossThreads, SortByKeyConstantDigitsAndEqualKeysIsStable) {
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  struct Rec {
+    uint64_t key;
+    uint32_t pos;  // input position: checks stability among equal keys
+    bool operator==(const Rec&) const = default;
+  };
+  Xoshiro256 rng(23);
+  std::vector<Rec> buf;
+  // Each shape maps a random draw to a key: high digits constant, low
+  // digits constant, one varying middle digit, few distinct keys, and
+  // every key equal.
+  const std::vector<std::function<uint64_t(uint64_t)>> shapes = {
+      [](uint64_t x) { return x & 0xfff; },
+      [](uint64_t x) { return (x & 0xffff) << 40; },
+      [](uint64_t x) { return (uint64_t{0xab} << 56) | ((x & 0xff) << 24); },
+      [](uint64_t x) { return (x % 3) << 33 | 0x5a5a; },
+      [](uint64_t) { return uint64_t{0xdeadbeefcafe}; },
+  };
+  for (size_t n : sort_sizes()) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      std::vector<Rec> v(n);
+      for (size_t i = 0; i < n; ++i) {
+        v[i] = {shapes[s](rng()), static_cast<uint32_t>(i)};
+      }
+      std::vector<Rec> ref = v;
+      std::stable_sort(ref.begin(), ref.end(),
+                       [](const Rec& a, const Rec& b) { return a.key < b.key; });
+      parallel_sort_by_key(pool, v, buf, [](const Rec& r) { return r.key; });
+      ASSERT_EQ(v, ref) << "n=" << n << " shape=" << s;
+    }
+  }
+}
+
+TEST_P(ParallelAcrossThreads, CountingScatterIsStableWithBucketStarts) {
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  Xoshiro256 rng(24);
+  ScatterScratch scratch;
+  for (size_t n : {size_t{0}, size_t{5}, size_t{3 * kDefaultGrain + 1},
+                   size_t{100000}}) {
+    std::vector<std::pair<uint32_t, uint32_t>> in(n);
+    for (size_t i = 0; i < n; ++i) {
+      in[i] = {static_cast<uint32_t>(rng.below(13)), static_cast<uint32_t>(i)};
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> out(n);
+    std::vector<size_t> starts;
+    counting_scatter(
+        pool, in.data(), out.data(), n, 13,
+        [](const std::pair<uint32_t, uint32_t>& r) { return size_t{r.first}; },
+        scratch, &starts);
+    std::vector<std::pair<uint32_t, uint32_t>> ref = in;
+    std::stable_sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    ASSERT_EQ(out, ref) << "n=" << n;
+    ASSERT_EQ(starts.size(), 14u);
+    for (uint32_t d = 0; d < 13; ++d) {
+      const size_t lo = static_cast<size_t>(
+          std::partition_point(ref.begin(), ref.end(),
+                               [d](const auto& r) { return r.first < d; }) -
+          ref.begin());
+      EXPECT_EQ(starts[d], lo) << "n=" << n << " bucket=" << d;
+    }
+    EXPECT_EQ(starts[13], n);
+  }
 }
 
 TEST_P(ParallelAcrossThreads, ApplyGroupedPartitionsByKey) {
@@ -217,6 +348,45 @@ TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueOrdersWithinGroups) {
   size_t total = 0;
   for (const auto& sink : got) total += sink.size();
   EXPECT_EQ(total, recs.size());
+}
+
+// The matcher's grouped applies: one (u, e) record per endpoint of a
+// rank-mixed hyperedge batch, generated edge-major (so keys arrive
+// unsorted), sized past the parallel-apply and parallel-sort cutoffs.
+TEST_P(ParallelAcrossThreads, ApplyGroupedUniqueRankMixedRecords) {
+  ThreadPool pool(GetParam(), /*allow_oversubscribe=*/true);
+  Xoshiro256 rng(78);
+  std::vector<SortRec> recs;
+  for (uint32_t e = 0; recs.size() < kSortParallelCutoff + 5000; ++e) {
+    const uint32_t rank = 2 + static_cast<uint32_t>(rng.below(3));
+    std::vector<uint32_t> eps;
+    while (eps.size() < rank) {
+      const auto u = static_cast<uint32_t>(rng.below(1u << 14));
+      if (std::find(eps.begin(), eps.end(), u) == eps.end()) eps.push_back(u);
+    }
+    for (uint32_t u : eps) recs.push_back({u, e, static_cast<int32_t>(rank)});
+  }
+  std::vector<SortRec> ref = recs;
+  std::sort(ref.begin(), ref.end(), [](const SortRec& a, const SortRec& b) {
+    return a.key() < b.key();
+  });
+
+  std::vector<std::vector<SortRec>> got(1u << 14);
+  GroupScratch<SortRec> scratch;
+  CostCounters cost;
+  apply_grouped_unique(
+      pool, recs, [](const SortRec& r) { return r.key(); },
+      [](uint64_t k) { return k >> 32; },
+      [&](uint64_t u, const SortRec* b, const SortRec* e) {
+        ASSERT_TRUE(got[u].empty()) << "group " << u << " applied twice";
+        got[u].assign(b, e);
+      },
+      scratch, &cost);
+  EXPECT_EQ(recs, ref);  // the records are left sorted by key
+  std::vector<SortRec> applied;
+  for (const auto& g : got) applied.insert(applied.end(), g.begin(), g.end());
+  EXPECT_EQ(applied, ref);
+  EXPECT_EQ(cost.rounds, 2u);
 }
 
 TEST(ThreadPool, ClampsToHardwareConcurrency) {
