@@ -4,6 +4,8 @@
 // settling x fallback x hypergraphs x threads x rebuilds) honest.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/checker.h"
 #include "param_name.h"
 #include "core/matcher.h"
@@ -12,16 +14,23 @@
 namespace pdmm {
 namespace {
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and those
+// bytes are part of every discovered test name. Padding bytes are never
+// initialised, so the struct has none: flags are uint32_t and `threads`
+// is widened to fill the slot before `seed`. The byte image is the same
+// as a padded struct whose padding happened to be zero.
 struct MatrixParams {
-  bool eager;
+  uint32_t eager;
   uint32_t iter_factor;
   uint32_t max_repeats;   // 0 = always fallback
   uint32_t max_eager;     // 0 = always cap
-  bool auto_rebuild;
+  uint32_t auto_rebuild;
   uint32_t rank;
-  unsigned threads;
+  uint64_t threads;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<MatrixParams>,
+              "padding bytes would make the test names build-dependent");
 
 std::string matrix_name(const testing::TestParamInfo<MatrixParams>& info) {
   const auto& p = info.param;
@@ -35,16 +44,17 @@ class ConfigMatrix : public testing::TestWithParam<MatrixParams> {};
 
 TEST_P(ConfigMatrix, ChurnStaysSound) {
   const auto p = GetParam();
-  ThreadPool pool(p.threads, /*allow_oversubscribe=*/true);
+  ThreadPool pool(static_cast<unsigned>(p.threads),
+                  /*allow_oversubscribe=*/true);
   Config cfg;
   cfg.max_rank = p.rank;
   cfg.seed = p.seed;
   cfg.check_invariants = true;
-  cfg.settle_after_insertions = p.eager;
+  cfg.settle_after_insertions = p.eager != 0;
   cfg.subsettle_iter_factor = p.iter_factor;
   cfg.max_settle_repeats = p.max_repeats;
   cfg.max_eager_sweeps = p.max_eager;
-  cfg.auto_rebuild = p.auto_rebuild;
+  cfg.auto_rebuild = p.auto_rebuild != 0;
   cfg.initial_capacity = p.auto_rebuild ? 200 : (1 << 15);
   DynamicMatcher m(cfg, pool);
 
